@@ -57,6 +57,19 @@ def _fbetti_closed_form(family: RingFamily) -> str:
     return "4*3^(i-1)"
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for ``--max-i``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}"
+        )
+    return value
+
+
 def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
@@ -426,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t1 = sub.add_parser("table1", help="print the table of limiting invariants")
     t1.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    t1.add_argument("--max-i", type=int, default=4, dest="max_i")
+    t1.add_argument("--max-i", type=_nonnegative_int, default=4, dest="max_i")
     t1.add_argument(
         "--families",
         default=",".join(_default_families()),
@@ -440,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--e", type=int, required=True)
     dec.add_argument("--route", choices=("paper", "classes", "both"), default="both")
     dec.add_argument("--format", choices=("text", "json"), default="text")
-    dec.add_argument("--max-i", type=int, default=4, dest="max_i")
+    dec.add_argument("--max-i", type=_nonnegative_int, default=4, dest="max_i")
     dec.set_defaults(func=cmd_decompose)
 
     ver = sub.add_parser("verify", help="run verification suites")

@@ -244,3 +244,28 @@ def enumerate_parity_box3(q: int, parity: int) -> int:
         for k in range(q)
         if (i + j + k) % 2 == parity
     )
+
+
+def count_parity_simplex3(n: int, parity: int) -> int:
+    """Triples (a, b, c) >= 0 with a + b + c <= n of the given sum parity.
+
+    Summing C(t + 2, 2) over t = parity, parity + 2, ..., <= n gives, with
+    J = floor((n - parity) / 2), (J + 1)(J + 2)(4J + 3)/6 for even parity and
+    (J + 1)(J + 2)(4J + 9)/6 for odd; zero when n < parity.
+    """
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    if n < parity:
+        return 0
+    j = (n - parity) // 2
+    return (j + 1) * (j + 2) * (4 * j + (9 if parity else 3)) // 6
+
+
+def enumerate_parity_simplex3(n: int, parity: int) -> int:
+    return sum(
+        1
+        for a in range(n + 1)
+        for b in range(n + 1 - a)
+        for c in range(n + 1 - a - b)
+        if (a + b + c) % 2 == parity
+    )

@@ -4,16 +4,23 @@ Two independent routes are implemented.
 
 * ``paper_index_sets``: closed index-set counts.  For scrolls these are
   congruence counts over q x q boxes; for scroll21 the three explicit index
-  sets P(1), P(2), P(3); for veronese2 the parity split of the residue cube.
+  sets P(1), P(2), P(3) at odd p; for veronese2 the parity split of the
+  residue cube.
 * ``residue_classes``: the module of q-th roots splits as the direct sum of
   its residue-class submodules (fractional monomials with fixed exponents
   mod q).  Each class is classified by computing its minimal generators and
   reading off mu.  This route is the ground truth: it is defined for every
-  q with p coprime to the grading torsion and has no boundary defects.
+  q with p coprime to the grading torsion.  The residues are counted per
+  class key in closed form, never enumerated, and one class per key is
+  classified.
 
-The scroll21 index sets genuinely miss classes at finite q (their union has
-cardinality q^3 - 1 at q = 3); the residue route finds all q^3 classes.  The
-discrepancy is surfaced, never patched over.
+The routes agree on scrolls and veronese2.  On scroll21 they agree on the
+free classes but the index sets do not cover the residue cube: they miss
+the classes with i + j < k and i + j + k even, 1, 50 and 1547 of them at
+q = 3, 9 and 27, a set of density 1/12 rather than a boundary effect.  The
+residue route finds that every one of them has three generators, so its
+BorC count has density 1/6 against the index sets' 1/12.  The difference is
+surfaced, never patched over.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from functools import lru_cache
 
 from . import mcm
 from .errors import AuditFailure
-from .lattice import count_congruence_box
+from .lattice import count_congruence_box, count_parity_box3, count_parity_simplex3
 from .rings import SCROLL, SCROLL21, VERONESE2, FrobeniusContext, RingFamily
 
 ROUTE_PAPER = "paper_index_sets"
@@ -109,15 +116,25 @@ def scroll_index_counts(delta: int, ctx: FrobeniusContext) -> list[int]:
     return counts
 
 
-def _sum_pair_counts_with_parity(q: int, lo: int, hi: int, parity: int) -> int:
-    """Sum of #{(i,j) in [0,q)^2 : i+j = s} over s in [lo, hi] with s even/odd."""
-    total = 0
-    lo = max(lo, 0)
-    hi = min(hi, 2 * q - 2)
-    for s in range(lo, hi + 1):
-        if s % 2 == parity:
-            total += q - abs(s - (q - 1))
-    return total
+def _scroll21_band_counts(q: int) -> dict[tuple[int, int], int]:
+    """Residues of [0, q)^3 per (band of r0 + r1 - r2, parity of r0 + r1 + r2).
+
+    Bands are -1 (sigma = r0 + r1 - r2 < 0), 0 (0 <= sigma < q) and 1
+    (sigma >= q); sigma and the residue sum have the same parity.  Writing
+    r2 = q - 1 - c turns sigma into t - (q - 1) with t = r0 + r1 + c, so band
+    -1 is the simplex cell t <= q - 2 with t of the parity of sigma + q - 1,
+    and band 1 the cell t >= 2q - 1, which t -> 3q - 3 - t maps onto the same
+    simplex with the parity of sigma.  Band 0 takes the rest of each parity.
+    """
+    parity_totals = ((q ** 3 + q % 2) // 2, q ** 3 // 2)
+    counts = {}
+    for parity, total in enumerate(parity_totals):
+        low = count_parity_simplex3(q - 2, (parity + q - 1) % 2)
+        high = count_parity_simplex3(q - 2, parity)
+        counts[(-1, parity)] = low
+        counts[(0, parity)] = total - low - high
+        counts[(1, parity)] = high
+    return counts
 
 
 def scroll21_index_counts(ctx: FrobeniusContext) -> tuple[int, int, int]:
@@ -125,18 +142,19 @@ def scroll21_index_counts(ctx: FrobeniusContext) -> tuple[int, int, int]:
 
     P(1) is the even-sum part of the halfspace i + j >= k in the residue
     cube; P(2) and P(3) shift i by q and split on i + j - k < 2q versus
-    >= 2q.  Computed by per-layer summation in O(q^2); enumeration twins
-    cross-check this for small q in the tests.
+    >= 2q.  With i - q in place of i these are the residues of parity q with
+    sigma = i + j - k below q and at least q, so all three come from the
+    closed band counts in O(1); enumeration twins cross-check this for small
+    q in the tests.
     """
     q = ctx.q
     if q <= 2:
         raise ValueError(f"index sets need q > 2, got q={q}")
-    p1 = p2 = p3 = 0
-    for k in range(q):
-        p1 += _sum_pair_counts_with_parity(q, k, 2 * q - 2, k % 2)
-        par = (q + k) % 2
-        p2 += _sum_pair_counts_with_parity(q, 0, q + k - 1, par)
-        p3 += _sum_pair_counts_with_parity(q, q + k, 2 * q - 2, par)
+    bands = _scroll21_band_counts(q)
+    parity = q % 2
+    p1 = bands[(0, 0)] + bands[(1, 0)]
+    p2 = bands[(-1, parity)] + bands[(0, parity)]
+    p3 = bands[(1, parity)]
     return p1, p2, p3
 
 
@@ -246,8 +264,9 @@ def _class_key(family: RingFamily, q: int, residue: tuple[int, ...]):
     Within a fixed (family, q) the minimal generator pattern of a class
     depends only on this key: for scrolls the residue degree mod delta, for
     scroll21 the halfspace band of r1 + r2 - r3 together with the parity of
-    the residue degree, for veronese2 the parity alone.  Tests verify the
-    cache against uncached per-class computation.
+    the residue degree, for veronese2 the parity alone.  Tests check this
+    against per-class computation at small q and at spread residues up to
+    q = 3^12.
     """
     if family.kind == SCROLL:
         return (residue[0] + residue[1]) % family.delta
@@ -258,13 +277,48 @@ def _class_key(family: RingFamily, q: int, residue: tuple[int, ...]):
     return band, sum(residue) % 2
 
 
+def _class_key_counts(family: RingFamily, q: int) -> dict:
+    """Map each class key to (number of residues with it, its first residue).
+
+    The counts are closed forms: congruence counts over the q x q box for
+    scrolls, the parity split of the cube for veronese2, the band counts for
+    scroll21.  The first residue is the lexicographically least residue with
+    that key, the one an enumerating tally meets first; it is meaningful
+    only where the count is nonzero.
+    """
+    if family.kind == SCROLL:
+        return {
+            k: (
+                count_congruence_box(0, q, 0, q, family.delta, k),
+                (max(0, k - q + 1), min(k, q - 1)),
+            )
+            for k in range(family.delta)
+        }
+    if family.kind == VERONESE2:
+        return {
+            parity: (count_parity_box3(q, parity), (0, 0, parity))
+            for parity in (0, 1)
+        }
+    firsts = {
+        (-1, 0): (0, 0, 2),
+        (-1, 1): (0, 0, 1),
+        (0, 0): (0, 0, 0),
+        (0, 1): (0, 1, 0),
+        (1, 0): (2, q - 1, 0),
+        (1, 1): (1, q - 1, 0),
+    }
+    bands = _scroll21_band_counts(q)
+    return {key: (count, firsts[key]) for key, count in bands.items()}
+
+
 def default_route(family: RingFamily, ctx: FrobeniusContext) -> str:
     """The route used when callers do not pick one.
 
     veronese2 goes through the exact parity counts (valid for all odd p and
-    cheap at any q); scroll21 uses residue classes, since its index sets have
-    finite-q boundary defects; scrolls use residue classes unless p divides
-    delta, where only the index counts apply.
+    cheap at any q); scroll21 uses residue classes, since its index sets
+    miss a density-1/12 set of classes that the residue route puts in BorC;
+    scrolls use residue classes unless p divides delta, where only the index
+    counts apply.
     """
     family.validate_context(ctx)
     if family.kind == VERONESE2:
@@ -317,6 +371,11 @@ def _paper_multiplicities(family: RingFamily, ctx: FrobeniusContext) -> dict[str
         counts = scroll_index_counts(family.delta, ctx)
         return {f"M({l})": a for l, a in enumerate(counts)}
     if family.kind == SCROLL21:
+        if ctx.p == 2:
+            raise ValueError(
+                "scroll21 index sets need odd characteristic: at p = 2 they "
+                "are unproven and do not sum to q^3"
+            )
         p1, p2, p3 = scroll21_index_counts(ctx)
         return {"R": p1, "A": p2, "BorC": p3}
     a, b = veronese_class_counts(ctx)
@@ -326,10 +385,11 @@ def _paper_multiplicities(family: RingFamily, ctx: FrobeniusContext) -> dict[str
 def _residue_class_multiplicities(
     family: RingFamily, ctx: FrobeniusContext
 ) -> dict[str, int]:
-    """Tally all q^d residue classes, classifying each by mu.
+    """Tally the q^d residue classes by tag without enumerating them.
 
-    The per-class computation is cached on the structural key, so the loop
-    costs O(1) per class after one minimal-generator search per key.
+    Each class key contributes its closed-form residue count to the tag of
+    its first residue, so the cost is one minimal-generator search per key
+    with residues, independent of q.
     """
     if not family.coprime_torsion(ctx):
         raise ValueError(
@@ -337,17 +397,19 @@ def _residue_class_multiplicities(
             f"{family.label}, got p={ctx.p}"
         )
     q = ctx.q
-    n = family.ambient_vars
-    tag_by_key: dict = {}
     counts: dict[str, int] = {}
-    for residue in itertools.product(range(q), repeat=n):
-        key = _class_key(family, q, residue)
-        tag = tag_by_key.get(key)
-        if tag is None:
-            cls = class_minimal_generators(family, ctx, residue)
-            tag = mcm.class_tag_for_mu(family, cls.mu)
-            tag_by_key[key] = tag
-        counts[tag] = counts.get(tag, 0) + 1
+    total = 0
+    for key, (count, first) in _class_key_counts(family, q).items():
+        if count == 0:
+            continue
+        if _class_key(family, q, first) != key:
+            raise AuditFailure(f"{first} does not have class key {key} at q={q}")
+        mu = class_minimal_generators(family, ctx, first).mu
+        tag = mcm.class_tag_for_mu(family, mu)
+        counts[tag] = counts.get(tag, 0) + count
+        total += count
+    if total != q ** family.ambient_vars:
+        raise AuditFailure(f"class key counts do not partition the cube at q={q}")
     return counts
 
 

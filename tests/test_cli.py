@@ -72,6 +72,31 @@ def test_decompose_route_diff_shows_boundary_gap(capsys):
     assert record["route_diff"] == {"BorC": 1}
 
 
+def test_negative_max_i_is_rejected(capsys):
+    for argv in (
+        ["table1", "--max-i", "-1"],
+        ["decompose", "--ring", "scroll:2", "--p", "3", "--e", "1", "--max-i", "-1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "--max-i: expected a nonnegative integer" in err
+    code, out, _ = run(capsys, ["table1", "--max-i", "0", "--format", "json"])
+    assert code == 0
+    assert all(row["fbetti"] == {} for row in json.loads(out)["rows"])
+
+
+def test_decompose_refuses_scroll21_at_p2(capsys):
+    base = ["decompose", "--ring", "scroll21", "--p", "2", "--e", "2"]
+    code, out, err = run(capsys, base)
+    assert code == 2
+    assert out == ""
+    assert "no decomposition route is legal for scroll21" in err
+    code, out, err = run(capsys, base + ["--route", "paper"])
+    assert code == 2
+    assert "odd characteristic" in err
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, ["verify", "--ring", "scroll21", "--q", "3,5"])
     assert code == 0

@@ -7,11 +7,13 @@ from frobcm.lattice import (
     count_halfbox3,
     count_pairs_sum_ge,
     count_parity_box3,
+    count_parity_simplex3,
     enumerate_congruence_box,
     enumerate_convex_polygon_points,
     enumerate_halfbox3,
     enumerate_pairs_sum_ge,
     enumerate_parity_box3,
+    enumerate_parity_simplex3,
     pick_count,
 )
 
@@ -147,3 +149,17 @@ def test_parity_box3():
         assert count_parity_box3(q, 0) + count_parity_box3(q, 1) == q ** 3
     with pytest.raises(ValueError):
         count_parity_box3(4, 0)
+
+
+def test_parity_simplex3():
+    assert count_parity_simplex3(0, 0) == 1
+    assert count_parity_simplex3(0, 1) == 0
+    assert count_parity_simplex3(-1, 0) == 0
+    assert count_parity_simplex3(1, 1) == 3
+    for n in range(-2, 16):
+        for parity in (0, 1):
+            assert count_parity_simplex3(n, parity) == enumerate_parity_simplex3(n, parity)
+        total = count_parity_simplex3(n, 0) + count_parity_simplex3(n, 1)
+        assert total == max(n + 1, 0) * (n + 2) * (n + 3) // 6
+    with pytest.raises(ValueError):
+        count_parity_simplex3(4, 2)

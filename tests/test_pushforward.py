@@ -1,12 +1,18 @@
+import random
 from itertools import product
 from math import gcd
 
 import pytest
 
+from frobcm import pushforward
+from frobcm.cli import _default_families
 from frobcm.mcm import class_tag_for_mu
 from frobcm.pushforward import (
     ROUTE_CLASSES,
     ROUTE_PAPER,
+    _class_key,
+    _class_key_counts,
+    _residue_class_multiplicities,
     class_minimal_generators,
     decompose,
     scroll21_index_counts,
@@ -17,9 +23,17 @@ from frobcm.pushforward import (
     verify_relations_scroll21,
     verify_summand_iso_scroll,
 )
-from frobcm.rings import FrobeniusContext, context_from_q, scroll, scroll21, veronese2
+from frobcm.rings import (
+    FrobeniusContext,
+    context_from_q,
+    parse_ring,
+    scroll,
+    scroll21,
+    veronese2,
+)
 
 Q3 = FrobeniusContext(3, 1)
+PRIME_POWERS_TO_27 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
 
 
 def classify_every_residue(family, ctx):
@@ -30,6 +44,56 @@ def classify_every_residue(family, ctx):
         tag = class_tag_for_mu(family, mu)
         counts[tag] = counts.get(tag, 0) + 1
     return counts
+
+
+def enumerating_tally(family, ctx):
+    """Twin of the residue route that visits all q^d residues.
+
+    Returns the residue count per class key and the multiplicities, with one
+    minimal-generator search at the first residue of each key.
+    """
+    q = ctx.q
+    key_counts = {}
+    tag_by_key = {}
+    counts = {}
+    for residue in product(range(q), repeat=family.ambient_vars):
+        key = _class_key(family, q, residue)
+        key_counts[key] = key_counts.get(key, 0) + 1
+        tag = tag_by_key.get(key)
+        if tag is None:
+            mu = class_minimal_generators(family, ctx, residue).mu
+            tag = tag_by_key[key] = class_tag_for_mu(family, mu)
+        counts[tag] = counts.get(tag, 0) + 1
+    return key_counts, counts
+
+
+def nonzero_key_counts(family, q):
+    return {key: n for key, (n, _) in _class_key_counts(family, q).items() if n}
+
+
+def residue_spread(family, q, rng):
+    """Corners and midpoints of every class-key cell plus seeded random residues."""
+    n = family.ambient_vars
+    marks = (0, 1, q // 2, q - 2, q - 1)
+    points = set(product(marks, repeat=n))
+    if family.label.startswith("scroll:"):
+        # ends and middle of the lowest, central and highest antidiagonal
+        # r0 + r1 = s of each key
+        delta = family.delta
+        for k in range(delta):
+            for top in (k, q - 1, 2 * q - 2):
+                s = top - (top - k) % delta
+                lo, hi = max(0, s - q + 1), min(s, q - 1)
+                for r0 in (lo, (lo + hi) // 2, hi):
+                    points.add((r0, s - r0))
+    elif family.label == "scroll21":
+        # both sides of the band walls sigma = 0 and sigma = q, both parities
+        for r0, r1 in product(marks, repeat=2):
+            for sigma in (-2, -1, 0, 1, q - 2, q - 1, q, q + 1):
+                if 0 <= r0 + r1 - sigma < q:
+                    points.add((r0, r1, r0 + r1 - sigma))
+    points |= {tuple(rng.randrange(q) for _ in range(n)) for _ in range(20)}
+    return sorted(points)
 
 
 def test_scroll_index_counts():
@@ -47,8 +111,9 @@ def test_scroll_index_counts_need_large_q():
 
 def test_scroll21_index_counts():
     assert scroll21_index_counts(Q3) == (13, 10, 3)
-    assert sum(scroll21_index_counts(Q3)) == 26  # one short of q^3; see below
-    for q in (3, 5, 9, 27):
+    # the index sets leave out the classes with i + j < k and i + j + k even
+    assert sum(scroll21_index_counts(Q3)) == 26
+    for q in (3, 4, 5, 8, 9, 16, 27):
         ctx = context_from_q(q)
         counts = scroll21_index_counts(ctx)
         sets = scroll21_index_sets(ctx)
@@ -160,13 +225,87 @@ def test_scroll21_free_classes_match_index_set():
 
 
 def test_scroll21_boundary_gap_at_q3():
-    # the index sets miss exactly one class at q = 3; the residue route
+    # at q = 3 the index sets miss one class, (0, 0, 2); the residue route
     # finds all 27 and puts the extra class in the three-generator bucket
     paper = decompose(scroll21(), Q3, ROUTE_PAPER).as_dict()
     classes = decompose(scroll21(), Q3, ROUTE_CLASSES).as_dict()
     assert sum(paper.values()) == 26
     assert sum(classes.values()) == 27
     assert classes["BorC"] == paper["BorC"] + 1
+
+
+def test_scroll21_route_difference_has_positive_density():
+    # the classes the index sets miss (i + j < k, i + j + k even) all land
+    # in BorC; their number grows like q^3 / 12, so it is no boundary effect
+    for q, missed in ((3, 1), (9, 50), (27, 1547)):
+        ctx = context_from_q(q)
+        paper = decompose(scroll21(), ctx, ROUTE_PAPER).as_dict()
+        classes = decompose(scroll21(), ctx, ROUTE_CLASSES).as_dict()
+        diff = {tag: classes[tag] - paper.get(tag, 0) for tag in classes}
+        assert diff == {"R": 0, "A": 0, "BorC": missed}
+        assert sum(paper.values()) == q ** 3 - missed
+
+
+def test_class_key_counts_match_enumerating_tally():
+    cases = [
+        (parse_ring(label), context_from_q(q))
+        for label in _default_families()
+        for q in PRIME_POWERS_TO_27
+    ]
+    cases += [(family, context_from_q(81)) for family in (scroll21(), veronese2())]
+    for family, ctx in cases:
+        if not family.coprime_torsion(ctx):
+            continue
+        key_counts, counts = enumerating_tally(family, ctx)
+        assert nonzero_key_counts(family, ctx.q) == key_counts, (family, ctx)
+        assert _residue_class_multiplicities(family, ctx) == counts, (family, ctx)
+    # p = 3 divides delta = 3: no residue route, but the key counts still hold
+    key_counts = {}
+    for residue in product(range(81), repeat=2):
+        key = _class_key(scroll(3), 81, residue)
+        key_counts[key] = key_counts.get(key, 0) + 1
+    assert nonzero_key_counts(scroll(3), 81) == key_counts
+
+
+def test_residue_route_searches_once_per_key(monkeypatch):
+    calls = []
+
+    def counting(family, ctx, residue):
+        calls.append(residue)
+        return class_minimal_generators(family, ctx, residue)
+
+    monkeypatch.setattr(pushforward, "class_minimal_generators", counting)
+    for family in (scroll(2), scroll(10), scroll21(), veronese2()):
+        for ctx in (Q3, FrobeniusContext(3, 12)):
+            calls.clear()
+            counts = _residue_class_multiplicities(family, ctx)
+            assert len(calls) == len(nonzero_key_counts(family, ctx.q))
+            assert sum(counts.values()) == ctx.q ** family.ambient_vars
+
+
+def test_class_key_determines_tag_at_large_q():
+    rng = random.Random(20240101)
+    families = [
+        family
+        for family in map(parse_ring, _default_families())
+        if family.coprime_torsion(Q3)
+    ]
+    for e in (5, 8, 12):
+        ctx = FrobeniusContext(3, e)
+        q = ctx.q
+        for family in families:
+            expected = {}
+            for key, (n, first) in _class_key_counts(family, q).items():
+                if n:
+                    mu = class_minimal_generators(family, ctx, first).mu
+                    expected[key] = class_tag_for_mu(family, mu)
+            seen = set()
+            for residue in residue_spread(family, q, rng):
+                key = _class_key(family, q, residue)
+                mu = class_minimal_generators(family, ctx, residue).mu
+                assert class_tag_for_mu(family, mu) == expected[key], (family, residue)
+                seen.add(key)
+            assert seen == set(expected), (family, q)
 
 
 def test_minimal_generators_partition_by_class():
@@ -195,6 +334,9 @@ def test_decompose_torsion_rules():
         decompose(scroll21(), FrobeniusContext(2, 2), ROUTE_CLASSES)
     with pytest.raises(ValueError):
         decompose(scroll(3), Q3, ROUTE_CLASSES)
+    # scroll21's index sets are unproven at p = 2 (they sum to 61 at q = 4)
+    with pytest.raises(ValueError, match="odd characteristic"):
+        decompose(scroll21(), FrobeniusContext(2, 2), ROUTE_PAPER)
     # p dividing delta still allows the index-count route
     dec = decompose(scroll(3), FrobeniusContext(3, 2), ROUTE_PAPER)
     assert sum(dec.as_dict().values()) == 81
