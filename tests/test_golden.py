@@ -1,6 +1,6 @@
-"""Byte-for-byte regression of ``decompose --format json`` output.
+"""Byte-for-byte regression of CLI output against ``tests/golden/``.
 
-The files under ``tests/golden/`` were written by the residue-enumerating
+The ``decompose`` files were written by the residue-enumerating
 implementation with
 
     python -m frobcm.cli decompose --ring R --p P --e E --route both --format json
@@ -8,8 +8,19 @@ implementation with
 for every default family and q in {3, 5, 9, 25, 27}: stdout into
 ``decompose_<R>_q<q>.json`` (":" in R written as "-"), or stderr into
 ``.err`` where no route is legal and the command exits 2.
+
+The ``table1`` and ``verify`` files were written before the per-family data
+moved into the ring constructors, with
+
+    python -m frobcm.cli table1 --max-i 12 --format F
+    python -m frobcm.cli verify --ring R --q Q --suite all --format json
+
+into ``table1_max12.<txt|json|csv>`` and ``verify_<R>_q<Q>.json`` for every
+default family and Q in {3, 5, 7, 9}; the verify files keep the FAIL rows
+that scrolls report at q <= delta.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -34,3 +45,22 @@ def test_decompose_json_matches_golden(capsys, ring, q):
     else:
         assert code == 0
         assert (out, err) == (stem.with_suffix(".json").read_text(), "")
+
+
+@pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("json", "json"), ("csv", "csv")])
+def test_table1_matches_golden(capsys, fmt, suffix):
+    code = main(["table1", "--max-i", "12", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert (out, err) == ((GOLDEN / f"table1_max12.{suffix}").read_text(), "")
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("ring", _default_families())
+def test_verify_json_matches_golden(capsys, ring, q):
+    argv = ["verify", "--ring", ring, "--q", str(q), "--suite", "all", "--format", "json"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    expected = (GOLDEN / f"verify_{ring.replace(':', '-')}_q{q}.json").read_text()
+    assert (out, err) == (expected, "")
+    assert code == (0 if json.loads(expected)["ok"] else 1)
