@@ -4,7 +4,7 @@ multiplicity, and Frobenius Betti numbers as exact rationals."""
 
 __version__ = "0.1.0"
 
-from .arith import HilbertSeries, Polynomial, Rational
+from .arith import HilbertSeries, Polynomial
 from .invariants import (
     convergence_check,
     fbetti_pushforward,
@@ -33,7 +33,6 @@ from .rings import (
 __all__ = [
     "HilbertSeries",
     "Polynomial",
-    "Rational",
     "SummandClass",
     "ClassModule",
     "Decomposition",

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-Rational = Fraction
-
-__all__ = ["Rational", "Polynomial", "HilbertSeries"]
+__all__ = ["Polynomial", "HilbertSeries"]
 
 
 @dataclass(frozen=True)
@@ -47,13 +45,6 @@ class Polynomial:
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
         return cls((0,) * degree + (coefficient,))
-
-    @classmethod
-    def geometric(cls, length: int) -> "Polynomial":
-        """1 + t + ... + t**(length-1)."""
-        if length < 0:
-            raise ValueError("length must be nonnegative")
-        return cls((1,) * length)
 
     @property
     def degree(self) -> int:

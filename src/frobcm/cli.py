@@ -36,10 +36,14 @@ ENUMERATION_CAP = 27  # largest q whose cubes the twins enumerate outright
 
 
 def _rational_json(value: Fraction) -> dict:
+    try:
+        approx = round(float(value), 6)
+    except OverflowError:
+        raise ValueError(f"{value} has no float approximation") from None
     return {
         "num": value.numerator,
         "den": value.denominator,
-        "approx": round(float(value), 6),
+        "approx": approx,
     }
 
 
@@ -47,14 +51,6 @@ def _rational_text(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def _fbetti_closed_form(family: RingFamily) -> str:
-    if family.kind == SCROLL:
-        return f"{family.delta}*{family.delta - 1}^i/2"
-    if family.kind == SCROLL21:
-        return "9*2^(i-1)/4"
-    return "4*3^(i-1)"
 
 
 def _nonnegative_int(text: str) -> int:
@@ -87,7 +83,7 @@ def build_table1_record(families: list[RingFamily], max_i: int) -> dict:
                 "family": family.label,
                 "s": _rational_json(lim.s),
                 "ehk": _rational_json(lim.ehk),
-                "fbetti_closed_form": _fbetti_closed_form(family),
+                "fbetti_closed_form": family.fbetti_text,
                 "fbetti": {
                     str(i): _rational_json(lim.fbetti(i))
                     for i in range(1, max_i + 1)
@@ -248,52 +244,55 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _suite_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+def _scroll_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+    ctx = context_from_q(q)
+    counts = pushforward.scroll_index_counts(family.delta, ctx)
+    ok_sum = sum(counts) == q * q
+    enum = [
+        enumerate_congruence_box(l * q, (l + 1) * q, 0, q, family.delta, 0)
+        for l in range(family.delta)
+    ]
+    return [
+        (f"counts[q={q}] sum a_l = q^2", ok_sum, f"{sum(counts)} vs {q * q}"),
+        (f"counts[q={q}] a_l vs enumeration", counts == enum, f"{counts}"),
+    ]
+
+
+def _scroll21_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     ctx = context_from_q(q)
     out = []
-    if family.kind == SCROLL:
-        counts = pushforward.scroll_index_counts(family.delta, ctx)
-        ok_sum = sum(counts) == q * q
-        out.append((f"counts[q={q}] sum a_l = q^2", ok_sum, f"{sum(counts)} vs {q * q}"))
-        enum = [
-            enumerate_congruence_box(l * q, (l + 1) * q, 0, q, family.delta, 0)
-            for l in range(family.delta)
-        ]
+    p1, p2, p3 = pushforward.scroll21_index_counts(ctx)
+    detail = f"({p1}, {p2}, {p3})"
+    if q <= ENUMERATION_CAP:
+        sets = pushforward.scroll21_index_sets(ctx)
+        ok = (p1, p2, p3) == tuple(len(s) for s in sets)
+        out.append((f"counts[q={q}] P-sets vs enumeration", ok, detail))
+        half = count_halfbox3(q)
+        ok_half = half == enumerate_halfbox3(q)
         out.append(
-            (f"counts[q={q}] a_l vs enumeration", counts == enum, f"{counts}")
+            (f"counts[q={q}] halfspace box formula", ok_half, f"{half}")
         )
-    elif family.kind == SCROLL21:
-        p1, p2, p3 = pushforward.scroll21_index_counts(ctx)
-        detail = f"({p1}, {p2}, {p3})"
-        if q <= ENUMERATION_CAP:
-            sets = pushforward.scroll21_index_sets(ctx)
-            ok = (p1, p2, p3) == tuple(len(s) for s in sets)
-            out.append((f"counts[q={q}] P-sets vs enumeration", ok, detail))
-            half = count_halfbox3(q)
-            ok_half = half == enumerate_halfbox3(q)
-            out.append(
-                (f"counts[q={q}] halfspace box formula", ok_half, f"{half}")
-            )
-        reduction = sum(count_pairs_sum_ge(q, k) for k in range(q))
-        out.append(
-            (
-                f"counts[q={q}] layer reduction",
-                reduction == count_halfbox3(q),
-                f"{reduction}",
-            )
+    reduction = sum(count_pairs_sum_ge(q, k) for k in range(q))
+    out.append(
+        (
+            f"counts[q={q}] layer reduction",
+            reduction == count_halfbox3(q),
+            f"{reduction}",
         )
-    else:
-        a, b = pushforward.veronese_class_counts(ctx)
-        out.append((f"counts[q={q}] parity split sums to q^3", a + b == q ** 3, f"({a}, {b})"))
-        if q <= ENUMERATION_CAP:
-            ok = a == enumerate_parity_box3(q, 0) and b == enumerate_parity_box3(q, 1)
-            out.append((f"counts[q={q}] parity counts vs enumeration", ok, f"({a}, {b})"))
+    )
     return out
 
 
-def _suite_iso(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
-    if family.kind != SCROLL:
-        return [(f"iso[q={q}]", True, "not applicable, skipped")]
+def _veronese2_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+    a, b = pushforward.veronese_class_counts(context_from_q(q))
+    out = [(f"counts[q={q}] parity split sums to q^3", a + b == q ** 3, f"({a}, {b})")]
+    if q <= ENUMERATION_CAP:
+        ok = a == enumerate_parity_box3(q, 0) and b == enumerate_parity_box3(q, 1)
+        out.append((f"counts[q={q}] parity counts vs enumeration", ok, f"({a}, {b})"))
+    return out
+
+
+def _scroll_iso(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     ctx = context_from_q(q)
     delta = family.delta
     if q <= delta:
@@ -311,29 +310,27 @@ def _suite_iso(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     return [(f"iso[q={q}] graded dimensions", ok, f"{checked} classes checked")]
 
 
-def _suite_relations(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+def _scroll21_relations(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+    if q > ENUMERATION_CAP:
+        return [(f"relations[q={q}]", True, "skipped, enumeration too large")]
     ctx = context_from_q(q)
-    if family.kind == SCROLL21:
-        if q > ENUMERATION_CAP:
-            return [(f"relations[q={q}]", True, "skipped, enumeration too large")]
-        _, p2, p3 = pushforward.scroll21_index_sets(ctx)
-        ok = all(pushforward.verify_relations_scroll21(ctx, t) for t in p2 | p3)
-        return [
-            (
-                f"relations[q={q}] generator relations",
-                ok,
-                f"{len(p2) + len(p3)} indices checked",
-            )
-        ]
-    if family.kind == VERONESE2:
-        ok = oracle.verify_veronese_sequences()
-        return [(f"relations[q={q}] series shadows of the resolutions", ok, "")]
-    return [(f"relations[q={q}]", True, "not applicable, skipped")]
+    _, p2, p3 = pushforward.scroll21_index_sets(ctx)
+    ok = all(pushforward.verify_relations_scroll21(ctx, t) for t in p2 | p3)
+    return [
+        (
+            f"relations[q={q}] generator relations",
+            ok,
+            f"{len(p2) + len(p3)} indices checked",
+        )
+    ]
 
 
-def _suite_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
-    if family.kind != SCROLL:
-        return [("syzygy", True, "not applicable, skipped")]
+def _veronese2_relations(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+    ok = oracle.verify_veronese_sequences()
+    return [(f"relations[q={q}] series shadows of the resolutions", ok, "")]
+
+
+def _scroll_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
     delta = family.delta
     ok = all(oracle.verify_scroll_syzygy(delta, l) for l in range(1, delta))
     return [
@@ -343,6 +340,31 @@ def _suite_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
             f"{delta - 1} syzygy sets checked (l=1..{delta - 1})",
         )
     ]
+
+
+# The verify suites whose body depends on the kind; colength and convergence
+# apply to every family.
+_KIND_SUITES = {
+    SCROLL: {"counts": _scroll_counts, "iso": _scroll_iso, "syzygy": _scroll_syzygy},
+    SCROLL21: {"counts": _scroll21_counts, "relations": _scroll21_relations},
+    VERONESE2: {"counts": _veronese2_counts, "relations": _veronese2_relations},
+}
+
+
+def _kind_suite(name: str):
+    """The suite ``name``: the body for the family's kind, or None without one."""
+
+    def run(family: RingFamily, *q: int) -> list[tuple[str, bool, str]] | None:
+        body = _KIND_SUITES[family.kind].get(name)
+        return body(family, *q) if body else None
+
+    return run
+
+
+_suite_counts = _kind_suite("counts")
+_suite_iso = _kind_suite("iso")
+_suite_relations = _kind_suite("relations")
+_suite_syzygy = _kind_suite("syzygy")
 
 
 def _suite_colength(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
@@ -365,28 +387,26 @@ def _suite_convergence(family: RingFamily, q_list: list[int]) -> list[tuple[str,
     return [(c.describe().split("] ", 1)[1], c.ok, "") for c in report.checks]
 
 
-def _run_suite(checks: list, label: str, runner, *args) -> None:
-    try:
-        checks.extend(runner(*args))
-    except ValueError as exc:
-        checks.append((label, False, f"error: {exc}"))
-
-
 def build_verify_record(family: RingFamily, q_list: list[int], suite: str) -> dict:
     checks: list[tuple[str, bool, str]] = []
+
+    def run(name: str, label: str, runner, *args) -> None:
+        # a suite with no body for the family's kind reports one skipped row
+        if suite not in (name, "all"):
+            return
+        try:
+            rows = runner(family, *args)
+        except ValueError as exc:
+            rows = [(label, False, f"error: {exc}")]
+        checks.extend(rows or [(label, True, "not applicable, skipped")])
+
     for q in q_list:
-        if suite in ("counts", "all"):
-            _run_suite(checks, f"counts[q={q}]", _suite_counts, family, q)
-        if suite in ("iso", "all"):
-            _run_suite(checks, f"iso[q={q}]", _suite_iso, family, q)
-        if suite in ("relations", "all"):
-            _run_suite(checks, f"relations[q={q}]", _suite_relations, family, q)
-        if suite in ("colength", "all"):
-            _run_suite(checks, f"colength[q={q}]", _suite_colength, family, q)
-    if suite in ("syzygy", "all"):
-        _run_suite(checks, "syzygy", _suite_syzygy, family)
-    if suite in ("convergence", "all"):
-        _run_suite(checks, "convergence", _suite_convergence, family, q_list)
+        run("counts", f"counts[q={q}]", _suite_counts, q)
+        run("iso", f"iso[q={q}]", _suite_iso, q)
+        run("relations", f"relations[q={q}]", _suite_relations, q)
+        run("colength", f"colength[q={q}]", _suite_colength, q)
+    run("syzygy", "syzygy", _suite_syzygy)
+    run("convergence", "convergence", _suite_convergence, q_list)
     return {
         "artifact_version": __version__,
         "command": {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import mcm, pushforward
-from .rings import SCROLL, SCROLL21, FrobeniusContext, RingFamily, context_from_q
+from .rings import FrobeniusContext, RingFamily, context_from_q
 
 
 def _check(condition: bool, message: str) -> None:
@@ -21,23 +21,12 @@ def _check(condition: bool, message: str) -> None:
         raise RuntimeError(message)
 
 
-def _closed_fbetti(family: RingFamily, i: int) -> Fraction:
-    if family.kind == SCROLL:
-        d = family.delta
-        return Fraction(d * (d - 1) ** i, 2)
-    if family.kind == SCROLL21:
-        return Fraction(9 * 2 ** (i - 1), 4)
-    return Fraction(4 * 3 ** (i - 1))
-
-
-def _class_densities(family: RingFamily) -> dict[str, Fraction]:
-    """Limiting density multiplicity(class)/q**dim of each summand class."""
-    if family.kind == SCROLL:
-        d = family.delta
-        return {f"M({l})": Fraction(1, d) for l in range(d)}
-    if family.kind == SCROLL21:
-        return {"R": Fraction(5, 12), "A": Fraction(5, 12), "BorC": Fraction(1, 6)}
-    return {"R": Fraction(1, 2), "A": Fraction(1, 2)}
+def _density_sum(family: RingFamily, i: int) -> Fraction:
+    """Sum over the classes of density times beta_i; i = 0 sums mu (e_HK)."""
+    return sum(
+        density * mcm.class_by_tag(family, tag).betti(i)
+        for tag, density in family.densities
+    )
 
 
 @dataclass(frozen=True)
@@ -45,7 +34,6 @@ class InvariantReport:
     family: RingFamily
     s: Fraction
     ehk: Fraction
-    finite_q_samples: tuple = ()
 
     def fbetti(self, i: int) -> Fraction:
         """i-th Frobenius Betti number; i = 0 is the Hilbert-Kunz multiplicity."""
@@ -53,15 +41,8 @@ class InvariantReport:
             raise ValueError("index must be nonnegative")
         if i == 0:
             return self.ehk
-        value = _closed_fbetti(self.family, i)
-        densities = _class_densities(self.family)
-        from_densities = sum(
-            (
-                density * mcm.class_by_tag(self.family, tag).betti(i)
-                for tag, density in densities.items()
-            ),
-            Fraction(0),
-        )
+        value = self.family.fbetti(i)
+        from_densities = _density_sum(self.family, i)
         _check(
             value == from_densities,
             f"Betti limit mismatch for {self.family.label} at i={i}: "
@@ -72,23 +53,10 @@ class InvariantReport:
 
 def limits(family: RingFamily) -> InvariantReport:
     """Closed-form limits, cross-checked against the density derivation."""
-    if family.kind == SCROLL:
-        d = family.delta
-        s, ehk = Fraction(1, d), Fraction(d + 1, 2)
-    elif family.kind == SCROLL21:
-        s, ehk = Fraction(5, 12), Fraction(7, 4)
-    else:
-        s, ehk = Fraction(1, 2), Fraction(2)
-    densities = _class_densities(family)
-    free_tag = "M(0)" if family.kind == SCROLL else "R"
-    _check(densities[free_tag] == s, f"free density is not s for {family.label}")
-    ehk_from_densities = sum(
-        (
-            density * mcm.class_by_tag(family, tag).mu
-            for tag, density in densities.items()
-        ),
-        Fraction(0),
-    )
+    s, ehk = family.s, family.ehk
+    free_density = dict(family.densities)[mcm.free_class(family).tag]
+    _check(free_density == s, f"free density is not s for {family.label}")
+    ehk_from_densities = _density_sum(family, 0)
     _check(
         ehk_from_densities == ehk,
         f"Hilbert-Kunz mismatch for {family.label}: {ehk_from_densities} vs {ehk}",
@@ -135,8 +103,8 @@ def finite_q_estimates(
     s_est = Fraction(dec.free_multiplicity, scale)
     ehk_est = Fraction(dec.total_min_generators(), scale)
     canonical = None
-    if family.kind != SCROLL:
-        canonical = Fraction(dec.mult("A"), scale)
+    if family.canonical_tag:
+        canonical = Fraction(dec.mult(family.canonical_tag), scale)
     return FiniteQEstimates(family, ctx, dec, s_est, ehk_est, canonical)
 
 
@@ -208,15 +176,14 @@ def convergence_check(
         for i in range(1, max_betti + 1):
             ratio = lim.fbetti(i) / lim.fbetti(1)
             add(f"fbetti_{i}", est.fbetti_est(i), lim.fbetti(i), envelope * ratio)
-        if family.kind != SCROLL:
+        if family.canonical_tag:
             # free and canonical multiplicities share the same limit
             witness = abs(
                 Fraction(
                     est.decomposition.free_multiplicity
-                    - est.decomposition.mult("A"),
+                    - est.decomposition.mult(family.canonical_tag),
                     q ** family.krull_dim,
                 )
             )
             add("free_vs_canonical", witness, Fraction(0), envelope)
-    report_limits = InvariantReport(family, lim.s, lim.ehk, tuple(samples))
-    return ConvergenceReport(family, report_limits, tuple(checks), tuple(samples))
+    return ConvergenceReport(family, lim, tuple(checks), tuple(samples))

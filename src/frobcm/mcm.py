@@ -1,21 +1,21 @@
 """Catalog of indecomposable maximal Cohen-Macaulay modules per ring family.
 
-For each family the catalog fixes minimal generator counts, ranks, Betti
-number closed forms together with the recurrences that pin them down, and
-the graded Hilbert series where one is available.
+Each family's constructor in ``rings`` records its catalog rows, Betti growth
+ratio and recurrences, and graded Hilbert series where one is available; this
+module turns them into ``SummandClass`` values and evaluates them.
 
 Tags follow the conventional letters: "M(l)" for the scroll modules (with
 "M(0)" the free class), and "R", "A", "B", "C", "D" for the three-dimensional
-families.  "BorC" is a deliberate merged tag: B and C share mu, rank, and the
-whole Betti sequence, and nothing downstream ever distinguishes them.
+families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .arith import HilbertSeries, Polynomial
-from .rings import SCROLL, SCROLL21, VERONESE2, RingFamily
+from .arith import HilbertSeries
+from .rings import RingFamily
 
 
 class UnsupportedClassError(ValueError):
@@ -28,11 +28,11 @@ class SummandClass:
     tag: str
     mu: int
     rank: int
-    index: int | None = None  # l for scroll classes
+    beta1: int  # first Betti number; beta_i grows by family.betti_ratio after it
 
     @property
     def is_free(self) -> bool:
-        return self.tag == "R" or self.tag == "M(0)"
+        return self == free_class(self.family)
 
     def betti(self, i: int) -> int:
         """i-th Betti number from the closed forms."""
@@ -40,23 +40,7 @@ class SummandClass:
             raise ValueError("Betti index must be nonnegative")
         if i == 0:
             return self.mu
-        kind = self.family.kind
-        if kind == SCROLL:
-            d = self.family.delta
-            return d * (d - 1) ** (i - 1) * self.index
-        if kind == SCROLL21:
-            if self.tag == "R":
-                return 0
-            if self.tag == "A":
-                return 3 * 2 ** (i - 1)
-            if self.tag == "D":
-                return 3 * 2 ** (i + 1)
-            return 3 * 2 ** i  # B, C, BorC
-        if self.tag == "R":
-            return 0
-        if self.tag == "A":
-            return 8 * 3 ** (i - 1)
-        return 8 * 3 ** i  # B
+        return self.beta1 * self.family.betti_ratio ** (i - 1)
 
     def __str__(self) -> str:
         return f"{self.family.label}:{self.tag}"
@@ -64,25 +48,12 @@ class SummandClass:
 
 def catalog(family: RingFamily) -> tuple[SummandClass, ...]:
     """All indecomposable MCM classes of the family, in reporting order."""
-    if family.kind == SCROLL:
-        return tuple(
-            SummandClass(family, f"M({l})", l + 1, 1, index=l)
-            for l in range(family.delta)
-        )
-    if family.kind == SCROLL21:
-        return (
-            SummandClass(family, "R", 1, 1),
-            SummandClass(family, "A", 2, 1),
-            SummandClass(family, "B", 3, 1),
-            SummandClass(family, "C", 3, 1),
-            SummandClass(family, "BorC", 3, 1),
-            SummandClass(family, "D", 6, 2),
-        )
-    return (
-        SummandClass(family, "R", 1, 1),
-        SummandClass(family, "A", 3, 1),
-        SummandClass(family, "B", 8, 2),
-    )
+    return _catalog(family)
+
+
+@lru_cache(maxsize=None)
+def _catalog(family: RingFamily) -> tuple[SummandClass, ...]:
+    return tuple(SummandClass(family, *row) for row in family.classes)
 
 
 def class_by_tag(family: RingFamily, tag: str) -> SummandClass:
@@ -100,18 +71,13 @@ def class_tag_for_mu(family: RingFamily, mu: int) -> str:
     """Classify a rank-one residue class by its minimal generator count.
 
     Valid because the rank-one indecomposables of each family have pairwise
-    distinct mu: scroll M(l) has mu = l + 1; scroll21 has 1, 2, 3 with B and C
-    merged; veronese2 has 1 and 3.
+    distinct mu, up to classes nothing downstream tells apart: scroll21's B
+    and C share mu = 3 and are reported under the merged tag BorC, the last
+    rank-one row with that mu.
     """
-    if family.kind == SCROLL:
-        if 1 <= mu <= family.delta:
-            return f"M({mu - 1})"
-    elif family.kind == SCROLL21:
-        if mu in (1, 2, 3):
-            return {1: "R", 2: "A", 3: "BorC"}[mu]
-    else:
-        if mu in (1, 3):
-            return {1: "R", 3: "A"}[mu]
+    tags = {cls.mu: cls.tag for cls in catalog(family) if cls.rank == 1}
+    if mu in tags:
+        return tags[mu]
     raise ValueError(f"no rank-one class of {family.label} has mu = {mu}")
 
 
@@ -123,60 +89,18 @@ def recurrence_residuals(family: RingFamily, i: int) -> list[int]:
     """
     if i < 0:
         raise ValueError("index must be nonnegative")
-    out: list[int] = []
-    if family.kind == SCROLL:
-        d = family.delta
-        top = class_by_tag(family, f"M({d - 1})")
-        for l in range(1, d):
-            cls = class_by_tag(family, f"M({l})")
-            out.append(cls.betti(i + 1) - l * top.betti(i))
-        return out
-    if family.kind == SCROLL21:
-        a = class_by_tag(family, "A")
-        b = class_by_tag(family, "B")
-        c = class_by_tag(family, "C")
-        dd = class_by_tag(family, "D")
-        out.append(b.betti(i + 1) - dd.betti(i))
-        out.append(a.betti(i + 1) - b.betti(i))
-        if i >= 1:
-            out.append(2 * a.betti(i) - c.betti(i))
-            out.append(2 * a.betti(i) + b.betti(i) - dd.betti(i))
-        return out
-    a = class_by_tag(family, "A")
-    b = class_by_tag(family, "B")
-    out.append(a.betti(i + 1) - b.betti(i))
-    if i == 1:
-        out.append(3 * a.betti(1) - b.betti(1) + 1 - 3 * a.betti(0) + b.betti(0))
-    if i >= 2:
-        out.append(3 * a.betti(i) - b.betti(i))
-    return out
+    return family.recurrences(lambda tag, j: class_by_tag(family, tag).betti(j), i)
 
 
 def module_hilbert_series(cls: SummandClass) -> HilbertSeries:
-    """Graded Hilbert series of the class, where the catalog records one.
-
-    Scroll classes keep the ambient polynomial grading, so their series live
-    over (1 - t^delta)^2; the veronese2 series live over (1 - t)^3.  The
-    scroll21 classes carry no recorded series and raise.
-    """
-    family = cls.family
-    if family.kind == SCROLL:
-        d = family.delta
-        l = cls.index
-        # sum_{k>=0} (k d + l + 1) t^(k d + l) in closed form
-        num = Polynomial.monomial(l + 1, l) + Polynomial.monomial(d - 1 - l, l + d)
-        return HilbertSeries(num, 2, base=d)
-    if family.kind == VERONESE2:
-        if cls.tag == "R":
-            return HilbertSeries(Polynomial((1, 3)), 3)
-        if cls.tag == "A":
-            return HilbertSeries(Polynomial((0, 0, 3, 1)), 3)
-        if cls.tag == "B":
-            return HilbertSeries(Polynomial((0, 0, 0, 8)), 3)
-    raise UnsupportedClassError(
-        f"no Hilbert series recorded for {cls}; the scroll21 classes do not "
-        "carry one"
-    )
+    """Graded Hilbert series of the class, where its family records one."""
+    series = dict(cls.family.hilbert).get(cls.tag)
+    if series is None:
+        raise UnsupportedClassError(
+            f"no Hilbert series recorded for {cls}; the {cls.family.label} "
+            "classes do not carry one"
+        )
+    return series
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import mcm
 from .arith import HilbertSeries, Polynomial
 from .errors import AuditFailure
-from .rings import SCROLL, SCROLL21, FrobeniusContext, RingFamily, veronese2
+from .rings import SCROLL, SCROLL21, VERONESE2, FrobeniusContext, RingFamily, scroll, veronese2
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,7 @@ def lambda_frobenius_quotient(family: RingFamily, ctx: FrobeniusContext) -> Cole
     q = ctx.q
     bound = 2 * q * max(c for g in family.generators() for c in g)
     band = bound - q
-    if family.kind == SCROLL:
-        count = _lambda_scroll(family.delta, q, bound, band)
-    elif family.kind == SCROLL21:
-        count = _lambda_scroll21(q, bound, band)
-    else:
-        count = _lambda_veronese2(q, bound, band)
+    count = _COLENGTH_KERNELS[family.kind](family, q, bound, band)
     return ColengthResult(family, ctx, count, Fraction(count, q ** family.krull_dim))
 
 
@@ -103,6 +98,15 @@ def _lambda_veronese2(q: int, bound: int, band: int) -> int:
                     raise AuditFailure("veronese2 colength box audit failed")
                 count += 1
     return count
+
+
+# One hand-unrolled colength loop per kind: the oracle's reference counts,
+# kept apart from the generic membership predicates.
+_COLENGTH_KERNELS = {
+    SCROLL: lambda family, *box: _lambda_scroll(family.delta, *box),
+    SCROLL21: lambda family, *box: _lambda_scroll21(*box),
+    VERONESE2: lambda family, *box: _lambda_veronese2(*box),
+}
 
 
 def min_gens_pushforward(family: RingFamily, ctx: FrobeniusContext) -> int:
@@ -210,7 +214,7 @@ def verify_scroll_syzygy(delta: int, l: int) -> bool:
         )
         if image_plus != image_minus:
             return False
-    top = mcm.class_by_tag(_scroll_family(delta), f"M({delta - 1})")
+    top = mcm.class_by_tag(scroll(delta), f"M({delta - 1})")
     expected_series = mcm.module_hilbert_series(top).scale(l).shift(l + 1)
     for step in range(5):
         degree = l + step * delta
@@ -232,12 +236,6 @@ def verify_scroll_syzygy(delta: int, l: int) -> bool:
         if _span_dimension(edges) != expected_series.coefficient(degree):
             return False
     return True
-
-
-def _scroll_family(delta: int) -> RingFamily:
-    from .rings import scroll
-
-    return scroll(delta)
 
 
 def verify_veronese_sequences() -> bool:

@@ -31,8 +31,8 @@ from functools import lru_cache
 
 from . import mcm
 from .errors import AuditFailure
-from .lattice import count_congruence_box, count_parity_box3, count_parity_simplex3
-from .rings import SCROLL, SCROLL21, VERONESE2, FrobeniusContext, RingFamily
+from .lattice import count_congruence_box
+from .rings import SCROLL, SCROLL21, VERONESE2, FrobeniusContext, RingFamily, scroll21
 
 ROUTE_PAPER = "paper_index_sets"
 ROUTE_CLASSES = "residue_classes"
@@ -74,12 +74,8 @@ class Decomposition:
         return self.as_dict().get(tag, 0)
 
     @property
-    def free_tag(self) -> str:
-        return "M(0)" if self.family.kind == SCROLL else "R"
-
-    @property
     def free_multiplicity(self) -> int:
-        return self.mult(self.free_tag)
+        return self.mult(mcm.free_class(self.family).tag)
 
     def total_rank(self) -> int:
         return sum(
@@ -116,27 +112,6 @@ def scroll_index_counts(delta: int, ctx: FrobeniusContext) -> list[int]:
     return counts
 
 
-def _scroll21_band_counts(q: int) -> dict[tuple[int, int], int]:
-    """Residues of [0, q)^3 per (band of r0 + r1 - r2, parity of r0 + r1 + r2).
-
-    Bands are -1 (sigma = r0 + r1 - r2 < 0), 0 (0 <= sigma < q) and 1
-    (sigma >= q); sigma and the residue sum have the same parity.  Writing
-    r2 = q - 1 - c turns sigma into t - (q - 1) with t = r0 + r1 + c, so band
-    -1 is the simplex cell t <= q - 2 with t of the parity of sigma + q - 1,
-    and band 1 the cell t >= 2q - 1, which t -> 3q - 3 - t maps onto the same
-    simplex with the parity of sigma.  Band 0 takes the rest of each parity.
-    """
-    parity_totals = ((q ** 3 + q % 2) // 2, q ** 3 // 2)
-    counts = {}
-    for parity, total in enumerate(parity_totals):
-        low = count_parity_simplex3(q - 2, (parity + q - 1) % 2)
-        high = count_parity_simplex3(q - 2, parity)
-        counts[(-1, parity)] = low
-        counts[(0, parity)] = total - low - high
-        counts[(1, parity)] = high
-    return counts
-
-
 def scroll21_index_counts(ctx: FrobeniusContext) -> tuple[int, int, int]:
     """Cardinalities of the scroll21 index sets P(1), P(2), P(3).
 
@@ -144,13 +119,13 @@ def scroll21_index_counts(ctx: FrobeniusContext) -> tuple[int, int, int]:
     cube; P(2) and P(3) shift i by q and split on i + j - k < 2q versus
     >= 2q.  With i - q in place of i these are the residues of parity q with
     sigma = i + j - k below q and at least q, so all three come from the
-    closed band counts in O(1); enumeration twins cross-check this for small
-    q in the tests.
+    closed band counts in O(1), which are the counts of scroll21's residue
+    class keys; enumeration twins cross-check this for small q in the tests.
     """
     q = ctx.q
     if q <= 2:
         raise ValueError(f"index sets need q > 2, got q={q}")
-    bands = _scroll21_band_counts(q)
+    bands = {key: n for key, (n, _) in scroll21().class_key_counts(q).items()}
     parity = q % 2
     p1 = bands[(0, 0)] + bands[(1, 0)]
     p2 = bands[(-1, parity)] + bands[(0, parity)]
@@ -258,79 +233,19 @@ def class_minimal_generators(
     return ClassModule(family, ctx, tuple(residue), tuple(sorted(minimal)))
 
 
-def _class_key(family: RingFamily, q: int, residue: tuple[int, ...]):
-    """Invariant determining the structure of a residue class.
-
-    Within a fixed (family, q) the minimal generator pattern of a class
-    depends only on this key: for scrolls the residue degree mod delta, for
-    scroll21 the halfspace band of r1 + r2 - r3 together with the parity of
-    the residue degree, for veronese2 the parity alone.  Tests check this
-    against per-class computation at small q and at spread residues up to
-    q = 3^12.
-    """
-    if family.kind == SCROLL:
-        return (residue[0] + residue[1]) % family.delta
-    if family.kind == VERONESE2:
-        return sum(residue) % 2
-    sigma = residue[0] + residue[1] - residue[2]
-    band = -1 if sigma < 0 else (0 if sigma < q else 1)
-    return band, sum(residue) % 2
-
-
-def _class_key_counts(family: RingFamily, q: int) -> dict:
-    """Map each class key to (number of residues with it, its first residue).
-
-    The counts are closed forms: congruence counts over the q x q box for
-    scrolls, the parity split of the cube for veronese2, the band counts for
-    scroll21.  The first residue is the lexicographically least residue with
-    that key, the one an enumerating tally meets first; it is meaningful
-    only where the count is nonzero.
-    """
-    if family.kind == SCROLL:
-        return {
-            k: (
-                count_congruence_box(0, q, 0, q, family.delta, k),
-                (max(0, k - q + 1), min(k, q - 1)),
-            )
-            for k in range(family.delta)
-        }
-    if family.kind == VERONESE2:
-        return {
-            parity: (count_parity_box3(q, parity), (0, 0, parity))
-            for parity in (0, 1)
-        }
-    firsts = {
-        (-1, 0): (0, 0, 2),
-        (-1, 1): (0, 0, 1),
-        (0, 0): (0, 0, 0),
-        (0, 1): (0, 1, 0),
-        (1, 0): (2, q - 1, 0),
-        (1, 1): (1, q - 1, 0),
-    }
-    bands = _scroll21_band_counts(q)
-    return {key: (count, firsts[key]) for key, count in bands.items()}
-
-
 def default_route(family: RingFamily, ctx: FrobeniusContext) -> str:
     """The route used when callers do not pick one.
 
-    veronese2 goes through the exact parity counts (valid for all odd p and
-    cheap at any q); scroll21 uses residue classes, since its index sets
-    miss a density-1/12 set of classes that the residue route puts in BorC;
-    scrolls use residue classes unless p divides delta, where only the index
-    counts apply.
+    Residue classes, or the index counts for a family whose constructor
+    prefers them, while p is coprime to the torsion index; otherwise the
+    index counts, unless the family has no route there.
     """
     family.validate_context(ctx)
-    if family.kind == VERONESE2:
-        return ROUTE_PAPER
-    if family.kind == SCROLL21:
-        if not family.coprime_torsion(ctx):
-            raise ValueError(
-                "scroll21 decompositions need odd p: the residue classes "
-                "degenerate and the index sets are unproven at p = 2"
-            )
-        return ROUTE_CLASSES
-    return ROUTE_CLASSES if family.coprime_torsion(ctx) else ROUTE_PAPER
+    if family.coprime_torsion(ctx):
+        return ROUTE_PAPER if family.index_route_first else ROUTE_CLASSES
+    if family.torsion_p_refusal:
+        raise ValueError(family.torsion_p_refusal)
+    return ROUTE_PAPER
 
 
 def decompose(
@@ -367,19 +282,26 @@ def _decompose_cached(
 
 
 def _paper_multiplicities(family: RingFamily, ctx: FrobeniusContext) -> dict[str, int]:
-    if family.kind == SCROLL:
-        counts = scroll_index_counts(family.delta, ctx)
-        return {f"M({l})": a for l, a in enumerate(counts)}
-    if family.kind == SCROLL21:
-        if ctx.p == 2:
-            raise ValueError(
-                "scroll21 index sets need odd characteristic: at p = 2 they "
-                "are unproven and do not sum to q^3"
-            )
-        p1, p2, p3 = scroll21_index_counts(ctx)
-        return {"R": p1, "A": p2, "BorC": p3}
-    a, b = veronese_class_counts(ctx)
-    return {"R": a, "A": b}
+    """The index-set counts, one per class of positive density, in order."""
+    counts = _INDEX_COUNTS[family.kind](family, ctx)
+    return {tag: n for (tag, _), n in zip(family.densities, counts, strict=True)}
+
+
+def _scroll21_odd_index_counts(family: RingFamily, ctx: FrobeniusContext):
+    if ctx.p == 2:
+        raise ValueError(
+            "scroll21 index sets need odd characteristic: at p = 2 they "
+            "are unproven and do not sum to q^3"
+        )
+    return scroll21_index_counts(ctx)
+
+
+# The paper's index sets are defined per kind.
+_INDEX_COUNTS = {
+    SCROLL: lambda family, ctx: scroll_index_counts(family.delta, ctx),
+    SCROLL21: _scroll21_odd_index_counts,
+    VERONESE2: lambda family, ctx: veronese_class_counts(ctx),
+}
 
 
 def _residue_class_multiplicities(
@@ -399,10 +321,10 @@ def _residue_class_multiplicities(
     q = ctx.q
     counts: dict[str, int] = {}
     total = 0
-    for key, (count, first) in _class_key_counts(family, q).items():
+    for key, (count, first) in family.class_key_counts(q).items():
         if count == 0:
             continue
-        if _class_key(family, q, first) != key:
+        if family.class_key(q, first) != key:
             raise AuditFailure(f"{first} does not have class key {key} at q={q}")
         mu = class_minimal_generators(family, ctx, first).mu
         tag = mcm.class_tag_for_mu(family, mu)
@@ -471,9 +393,10 @@ def verify_relations_scroll21(
     if which == 0:
         raise ValueError(f"{ijk} is not in the index sets at q={q}")
     i, j, k = ijk
+    contains = scroll21().contains
     second = (i - q, j + q, k)
     for gen in ((i, j, k), second):
-        if not _root_monomial_in_ring(gen):
+        if not contains(gen):
             return False
     lhs = (i + q, j + q, k)
     rhs = (second[0] + 2 * q, second[1], second[2])
@@ -481,16 +404,10 @@ def verify_relations_scroll21(
         return False
     if which == 3:
         third = (i - q, j, k + q)
-        if not _root_monomial_in_ring(third):
+        if not contains(third):
             return False
         lhs = (i + q, j, k + q)
         rhs = (third[0] + 2 * q, third[1], third[2])
         if lhs != rhs:
             return False
     return True
-
-
-def _root_monomial_in_ring(vec: tuple[int, int, int]) -> bool:
-    """Exponent numerators of a legal scroll21 root monomial."""
-    i, j, k = vec
-    return min(vec) >= 0 and (i + j + k) % 2 == 0 and i + j >= k

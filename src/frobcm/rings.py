@@ -1,7 +1,11 @@
 """The three graded semigroup rings of finite Cohen-Macaulay type.
 
-Each ring is represented by a monomial membership predicate plus its list of
-algebra generators, written as exponent vectors (plain integer tuples):
+A family is described in one place, its constructor: ``scroll(delta)``,
+``scroll21()`` and ``veronese2()`` each build one ``RingFamily`` with the
+membership predicate, the algebra generators (exponent vectors, plain integer
+tuples) and all the other modules read about it: the catalog of MCM classes,
+their densities, the limits, Hilbert series, Betti recurrences, and the
+residue class key with its closed per-key counts.
 
 * ``scroll(delta)``: subalgebra of k[x, y] spanned by monomials whose total
   degree is a multiple of delta; generators x^delta, x^(delta-1) y, ..., y^delta.
@@ -15,14 +19,18 @@ Frobenius contexts bundle a prime p and an exponent e with q = p^e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from typing import Callable
+
+from .arith import HilbertSeries, Polynomial
+from .lattice import count_congruence_box, count_parity_box3, count_parity_simplex3
 
 SCROLL = "scroll"
 SCROLL21 = "scroll21"
 VERONESE2 = "veronese2"
-
-_KINDS = (SCROLL, SCROLL21, VERONESE2)
 
 
 def _is_prime(n: int) -> bool:
@@ -46,8 +54,6 @@ class FrobeniusContext:
 
     p: int
     e: int
-
-    alpha_convention = 0  # all limits are normalized by q**krull_dim
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
@@ -80,47 +86,59 @@ def context_from_q(q: int) -> FrobeniusContext:
     return FrobeniusContext(p, e)
 
 
+def _described():
+    """A field of the family description: not compared, hashed or shown."""
+    return field(default=None, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class RingFamily:
+    """One ring family.  Only the constructors fill the fields after
+    ``delta``; equality, hashing and repr see (kind, delta) alone, so copies
+    built apart share cache entries."""
+
     kind: str
     delta: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == SCROLL:
-            if not isinstance(self.delta, int) or self.delta < 2:
-                raise ValueError(
-                    "scroll rings need delta >= 2 (delta = 1 is the polynomial ring)"
-                )
-        elif self.delta is not None:
-            raise ValueError(f"{self.kind} does not take a delta parameter")
-
-    @property
-    def ambient_vars(self) -> int:
-        return 2 if self.kind == SCROLL else 3
+    label: str = _described()
+    ambient_vars: int = _described()
+    torsion_index: int = _described()
+    gens: tuple[tuple[int, ...], ...] = _described()
+    member: Callable[[tuple[int, ...]], bool] = _described()  # on vectors >= 0
+    p2_refusal: str | None = _described()  # why p = 2 has no theory, if it has none
+    # Catalog rows (tag, mu, rank, beta_1), free class first, in reporting
+    # order; for i >= 1 every class has beta_i = beta_1 * betti_ratio^(i - 1).
+    classes: tuple[tuple[str, int, int, int], ...] = _described()
+    betti_ratio: int = _described()
+    # (tag, limiting multiplicity / q^dim) for the classes of positive density
+    densities: tuple[tuple[str, Fraction], ...] = _described()
+    s: Fraction = _described()
+    ehk: Fraction = _described()
+    fbetti: Callable[[int], Fraction] = _described()  # closed form for i >= 1
+    fbetti_text: str = _described()
+    canonical_tag: str | None = _described()
+    hilbert: tuple[tuple[str, HilbertSeries], ...] = _described()
+    # recurrences(betti, i) evaluates every Betti recurrence valid at index
+    # i, given betti(tag, i); all of them vanish when the catalog is right
+    recurrences: Callable = _described()
+    # class_key(q, residue) fixes the minimal generator pattern of a residue
+    # class within one (family, q), as the tests check up to q = 3^12;
+    # class_key_counts(q) maps each key to (residue count, lexicographically
+    # least residue), the residue meaningless where the count is 0.
+    class_key: Callable = _described()
+    class_key_counts: Callable[[int], dict] = _described()
+    # Default route at p coprime to the torsion: residue classes, or the
+    # index counts if first; else the index counts, or this refusal.
+    index_route_first: bool = _described()
+    torsion_p_refusal: str | None = _described()
 
     @property
     def krull_dim(self) -> int:
-        """The d used in every q**d normalization."""
-        return 2 if self.kind == SCROLL else 3
-
-    @property
-    def torsion_index(self) -> int:
-        return self.delta if self.kind == SCROLL else 2
-
-    @property
-    def label(self) -> str:
-        return f"scroll:{self.delta}" if self.kind == SCROLL else self.kind
+        """The d of every q**d normalization: each semigroup spans its lattice."""
+        return self.ambient_vars
 
     def generators(self) -> tuple[tuple[int, ...], ...]:
         """Exponent vectors of the algebra generators."""
-        if self.kind == SCROLL:
-            d = self.delta
-            return tuple((d - k, k) for k in range(d + 1))
-        if self.kind == SCROLL21:
-            return ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1))
-        return ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+        return self.gens
 
     def contains(self, vec: tuple[int, ...]) -> bool:
         """True when the monomial with these exponents lies in the ring.
@@ -133,12 +151,7 @@ class RingFamily:
             )
         if min(vec) < 0:
             return False
-        if self.kind == SCROLL:
-            return (vec[0] + vec[1]) % self.delta == 0
-        i, j, k = vec
-        if (i + j + k) % 2 != 0:
-            return False
-        return True if self.kind == VERONESE2 else i + j >= k
+        return self.member(vec)
 
     def frobenius_power_contains(self, vec: tuple[int, ...], ctx: FrobeniusContext) -> bool:
         """Membership in the Frobenius power of the maximal ideal.
@@ -158,11 +171,8 @@ class RingFamily:
 
     def validate_context(self, ctx: FrobeniusContext) -> None:
         """Reject characteristic/family combinations that have no theory."""
-        if self.kind == VERONESE2 and ctx.p == 2:
-            raise ValueError(
-                "veronese2 needs odd characteristic: in characteristic two the "
-                "ring is not the invariant ring of a sign action"
-            )
+        if ctx.p == 2 and self.p2_refusal:
+            raise ValueError(self.p2_refusal)
 
     def coprime_torsion(self, ctx: FrobeniusContext) -> bool:
         return gcd(ctx.p, self.torsion_index) == 1
@@ -170,17 +180,188 @@ class RingFamily:
     def __str__(self) -> str:
         return self.label
 
+    def __reduce__(self):
+        return parse_ring, (self.label,)
+
 
 def scroll(delta: int) -> RingFamily:
-    return RingFamily(SCROLL, delta)
+    if not isinstance(delta, int) or delta < 2:
+        raise ValueError(
+            "scroll rings need delta >= 2 (delta = 1 is the polynomial ring)"
+        )
+    return _scroll(delta)
+
+
+@lru_cache(maxsize=None)
+def _scroll(d: int) -> RingFamily:
+    def recurrences(betti, i):
+        top = f"M({d - 1})"
+        return [betti(f"M({l})", i + 1) - l * betti(top, i) for l in range(1, d)]
+
+    def class_key_counts(q):
+        return {
+            k: (
+                count_congruence_box(0, q, 0, q, d, k),
+                (max(0, k - q + 1), min(k, q - 1)),
+            )
+            for k in range(d)
+        }
+
+    # sum_{k>=0} (k d + l + 1) t^(k d + l) in closed form
+    def series(l):
+        num = Polynomial.monomial(l + 1, l) + Polynomial.monomial(d - 1 - l, l + d)
+        return HilbertSeries(num, 2, base=d)
+
+    return RingFamily(
+        SCROLL,
+        d,
+        label=f"scroll:{d}",
+        ambient_vars=2,
+        torsion_index=d,
+        gens=tuple((d - k, k) for k in range(d + 1)),
+        member=lambda v: (v[0] + v[1]) % d == 0,
+        classes=tuple((f"M({l})", l + 1, 1, d * l) for l in range(d)),
+        betti_ratio=d - 1,
+        densities=tuple((f"M({l})", Fraction(1, d)) for l in range(d)),
+        s=Fraction(1, d),
+        ehk=Fraction(d + 1, 2),
+        fbetti=lambda i: Fraction(d * (d - 1) ** i, 2),
+        fbetti_text=f"{d}*{d - 1}^i/2",
+        # the classes keep the ambient grading, over (1 - t^d)^2
+        hilbert=tuple((f"M({l})", series(l)) for l in range(d)),
+        recurrences=recurrences,
+        # the residue degree mod delta fixes the class
+        class_key=lambda q, r: (r[0] + r[1]) % d,
+        class_key_counts=class_key_counts,
+    )
 
 
 def scroll21() -> RingFamily:
-    return RingFamily(SCROLL21)
+    return _scroll21()
+
+
+@lru_cache(maxsize=None)
+def _scroll21() -> RingFamily:
+    def recurrences(betti, i):
+        out = [betti("B", i + 1) - betti("D", i), betti("A", i + 1) - betti("B", i)]
+        if i >= 1:
+            out.append(2 * betti("A", i) - betti("C", i))
+            out.append(2 * betti("A", i) + betti("B", i) - betti("D", i))
+        return out
+
+    def class_key(q, r):
+        sigma = r[0] + r[1] - r[2]
+        band = -1 if sigma < 0 else (0 if sigma < q else 1)
+        return band, sum(r) % 2
+
+    def class_key_counts(q):
+        """Residues of [0, q)^3 per (band, parity) key and the first of each.
+
+        Bands are -1 (sigma = r0 + r1 - r2 < 0), 0 (0 <= sigma < q) and 1
+        (sigma >= q); sigma and the residue sum have the same parity.
+        Writing r2 = q - 1 - c turns sigma into t - (q - 1) with
+        t = r0 + r1 + c, so band -1 is the simplex cell t <= q - 2 with t of
+        the parity of sigma + q - 1, and band 1 the cell t >= 2q - 1, which
+        t -> 3q - 3 - t maps onto the same simplex with the parity of sigma.
+        Band 0 takes the rest of each parity.
+        """
+        parity_totals = ((q ** 3 + q % 2) // 2, q ** 3 // 2)
+        counts = {}
+        for parity, total in enumerate(parity_totals):
+            low = count_parity_simplex3(q - 2, (parity + q - 1) % 2)
+            high = count_parity_simplex3(q - 2, parity)
+            counts[(-1, parity)] = (low, (0, 0, 2 - parity))
+            counts[(0, parity)] = (total - low - high, (0, parity, 0))
+            counts[(1, parity)] = (high, (2 - parity, q - 1, 0))
+        return counts
+
+    return RingFamily(
+        SCROLL21,
+        label=SCROLL21,
+        ambient_vars=3,
+        torsion_index=2,
+        gens=((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)),
+        member=lambda v: (v[0] + v[1] + v[2]) % 2 == 0 and v[0] + v[1] >= v[2],
+        # "BorC" is a deliberate merged tag: B and C share mu, rank, and the
+        # whole Betti sequence, and nothing downstream distinguishes them.
+        classes=(
+            ("R", 1, 1, 0),
+            ("A", 2, 1, 3),
+            ("B", 3, 1, 6),
+            ("C", 3, 1, 6),
+            ("BorC", 3, 1, 6),
+            ("D", 6, 2, 12),
+        ),
+        betti_ratio=2,
+        densities=(
+            ("R", Fraction(5, 12)),
+            ("A", Fraction(5, 12)),
+            ("BorC", Fraction(1, 6)),
+        ),
+        s=Fraction(5, 12),
+        ehk=Fraction(7, 4),
+        fbetti=lambda i: Fraction(9 * 2 ** (i - 1), 4),
+        fbetti_text="9*2^(i-1)/4",
+        canonical_tag="A",
+        hilbert=(),
+        recurrences=recurrences,
+        class_key=class_key,
+        class_key_counts=class_key_counts,
+        torsion_p_refusal=(
+            "scroll21 decompositions need odd p: the residue classes "
+            "degenerate and the index sets are unproven at p = 2"
+        ),
+    )
 
 
 def veronese2() -> RingFamily:
-    return RingFamily(VERONESE2)
+    return _veronese2()
+
+
+@lru_cache(maxsize=None)
+def _veronese2() -> RingFamily:
+    def recurrences(betti, i):
+        out = [betti("A", i + 1) - betti("B", i)]
+        if i == 1:
+            a, b = betti("A", 0), betti("B", 0)
+            out.append(3 * betti("A", 1) - betti("B", 1) + 1 - 3 * a + b)
+        if i >= 2:
+            out.append(3 * betti("A", i) - betti("B", i))
+        return out
+
+    return RingFamily(
+        VERONESE2,
+        label=VERONESE2,
+        ambient_vars=3,
+        torsion_index=2,
+        gens=((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)),
+        member=lambda v: (v[0] + v[1] + v[2]) % 2 == 0,
+        p2_refusal=(
+            "veronese2 needs odd characteristic: in characteristic two the "
+            "ring is not the invariant ring of a sign action"
+        ),
+        classes=(("R", 1, 1, 0), ("A", 3, 1, 8), ("B", 8, 2, 24)),
+        betti_ratio=3,
+        densities=(("R", Fraction(1, 2)), ("A", Fraction(1, 2))),
+        s=Fraction(1, 2),
+        ehk=Fraction(2),
+        fbetti=lambda i: Fraction(4 * 3 ** (i - 1)),
+        fbetti_text="4*3^(i-1)",
+        canonical_tag="A",
+        hilbert=(
+            ("R", HilbertSeries(Polynomial((1, 3)), 3)),
+            ("A", HilbertSeries(Polynomial((0, 0, 3, 1)), 3)),
+            ("B", HilbertSeries(Polynomial((0, 0, 0, 8)), 3)),
+        ),
+        recurrences=recurrences,
+        # the parity of the residue degree fixes the class
+        class_key=lambda q, r: sum(r) % 2,
+        class_key_counts=lambda q: {
+            parity: (count_parity_box3(q, parity), (0, 0, parity)) for parity in (0, 1)
+        },
+        # the exact parity counts: valid for every odd p and cheap at any q
+        index_route_first=True,
+    )
 
 
 def parse_ring(text: str) -> RingFamily:

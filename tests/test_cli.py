@@ -1,7 +1,8 @@
 import json
 
-from frobcm.cli import build_table1_record, build_verify_record, main
-from frobcm.rings import parse_ring, scroll21
+from frobcm.cli import _default_families, build_table1_record, build_verify_record, main
+from frobcm.invariants import finite_q_estimates, limits
+from frobcm.rings import FrobeniusContext, parse_ring, scroll, scroll21
 
 
 def run(capsys, argv):
@@ -146,3 +147,33 @@ def test_record_round_trip_equality():
 def test_exit_status_reflects_failures():
     report = build_verify_record(scroll21(), [3], "all")
     assert report["ok"] == all(c["ok"] for c in report["checks"])
+
+
+def first_without_float(values):
+    for value in values:
+        try:
+            float(value)
+        except OverflowError:
+            return value
+    raise AssertionError("every value fits a float")
+
+
+def test_values_beyond_float_range_exit_cleanly(capsys):
+    # the JSON "approx" field needs a float; past about 1.8e308 there is
+    # none, so the command stops with one error line naming the exact value
+    def table1_values():
+        for family in map(parse_ring, _default_families()):
+            lim = limits(family)
+            yield from [lim.s, lim.ehk] + [lim.fbetti(i) for i in range(1, 401)]
+
+    value = first_without_float(table1_values())
+    expected = f"error: {value} has no float approximation\n"
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, ["table1", "--max-i", "400", "--format", fmt])
+        assert (code, out, err) == (2, "", expected)
+
+    est = finite_q_estimates(scroll(10), FrobeniusContext(3, 2))
+    value = first_without_float(est.fbetti_est(i) for i in range(1, 401))
+    argv = ["decompose", "--ring", "scroll:10", "--p", "3", "--e", "2"]
+    code, out, err = run(capsys, argv + ["--max-i", "400", "--format", "json"])
+    assert (code, out, err) == (2, "", f"error: {value} has no float approximation\n")

@@ -10,8 +10,6 @@ from frobcm.mcm import class_tag_for_mu
 from frobcm.pushforward import (
     ROUTE_CLASSES,
     ROUTE_PAPER,
-    _class_key,
-    _class_key_counts,
     _residue_class_multiplicities,
     class_minimal_generators,
     decompose,
@@ -57,7 +55,7 @@ def enumerating_tally(family, ctx):
     tag_by_key = {}
     counts = {}
     for residue in product(range(q), repeat=family.ambient_vars):
-        key = _class_key(family, q, residue)
+        key = family.class_key(q, residue)
         key_counts[key] = key_counts.get(key, 0) + 1
         tag = tag_by_key.get(key)
         if tag is None:
@@ -68,7 +66,7 @@ def enumerating_tally(family, ctx):
 
 
 def nonzero_key_counts(family, q):
-    return {key: n for key, (n, _) in _class_key_counts(family, q).items() if n}
+    return {key: n for key, (n, _) in family.class_key_counts(q).items() if n}
 
 
 def residue_spread(family, q, rng):
@@ -262,7 +260,7 @@ def test_class_key_counts_match_enumerating_tally():
     # p = 3 divides delta = 3: no residue route, but the key counts still hold
     key_counts = {}
     for residue in product(range(81), repeat=2):
-        key = _class_key(scroll(3), 81, residue)
+        key = scroll(3).class_key(81, residue)
         key_counts[key] = key_counts.get(key, 0) + 1
     assert nonzero_key_counts(scroll(3), 81) == key_counts
 
@@ -295,13 +293,13 @@ def test_class_key_determines_tag_at_large_q():
         q = ctx.q
         for family in families:
             expected = {}
-            for key, (n, first) in _class_key_counts(family, q).items():
+            for key, (n, first) in family.class_key_counts(q).items():
                 if n:
                     mu = class_minimal_generators(family, ctx, first).mu
                     expected[key] = class_tag_for_mu(family, mu)
             seen = set()
             for residue in residue_spread(family, q, rng):
-                key = _class_key(family, q, residue)
+                key = family.class_key(q, residue)
                 mu = class_minimal_generators(family, ctx, residue).mu
                 assert class_tag_for_mu(family, mu) == expected[key], (family, residue)
                 seen.add(key)

@@ -1,8 +1,11 @@
+import dataclasses
+import pickle
 import random
 from itertools import product
 
 import pytest
 
+from frobcm import pushforward
 from frobcm.rings import (
     FrobeniusContext,
     context_from_q,
@@ -130,3 +133,22 @@ def test_context_from_q():
         context_from_q(12)
     with pytest.raises(ValueError):
         context_from_q(1)
+
+
+def test_family_identity_is_kind_and_delta():
+    # the description the constructors build takes no part in equality,
+    # hashing or repr, so separately built copies share decomposition cache
+    # entries
+    ctx = FrobeniusContext(5, 1)
+    for text, family in (("scroll:3", scroll(3)), ("scroll21", scroll21()), ("veronese2", veronese2())):
+        parsed = parse_ring(text)
+        assert parsed == family and hash(parsed) == hash(family)
+        copy = dataclasses.replace(parsed)
+        assert copy is not parsed
+        assert copy == family and hash(copy) == hash(family)
+        assert repr(copy) == f"RingFamily(kind={family.kind!r}, delta={family.delta!r})"
+        assert pickle.loads(pickle.dumps(copy)) == family
+        pushforward._decompose_cached.cache_clear()
+        pushforward.decompose(parsed, ctx)
+        pushforward.decompose(copy, ctx)
+        assert pushforward._decompose_cached.cache_info().hits == 1
