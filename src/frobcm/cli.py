@@ -47,12 +47,6 @@ def _rational_json(value: Fraction) -> dict:
     }
 
 
-def _rational_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _nonnegative_int(text: str) -> int:
     """argparse type for ``--max-i``: an integer >= 0."""
     try:
@@ -97,44 +91,38 @@ def build_table1_record(families: list[RingFamily], max_i: int) -> dict:
     }
 
 
-def _render_table1_text(record: dict, max_i: int) -> str:
-    headers = ["family", "s", "e_HK", "beta_i^F (i>=1)"] + [
-        f"beta_{i}" for i in range(1, max_i + 1)
-    ]
-    lines = [headers]
+def _table1_lines(record: dict, max_i: int, header: list[str]) -> list[list[str]]:
+    """The header, then one row of cells per family."""
+    lines = [header + [f"beta_{i}" for i in range(1, max_i + 1)]]
     for row in record["rows"]:
-        cells = [
-            row["family"],
-            _fraction_from_json(row["s"]),
-            _fraction_from_json(row["ehk"]),
-            row["fbetti_closed_form"],
-        ] + [_fraction_from_json(row["fbetti"][str(i)]) for i in range(1, max_i + 1)]
-        lines.append(cells)
-    widths = [max(len(str(line[col])) for line in lines) for col in range(len(headers))]
-    out = []
-    for line in lines:
-        out.append("  ".join(str(cell).ljust(w) for cell, w in zip(line, widths)).rstrip())
-    return "\n".join(out)
+        lines.append(
+            [
+                row["family"],
+                _fraction_from_json(row["s"]),
+                _fraction_from_json(row["ehk"]),
+                row["fbetti_closed_form"],
+            ]
+            + [_fraction_from_json(row["fbetti"][str(i)]) for i in range(1, max_i + 1)]
+        )
+    return lines
+
+
+def _render_table1_text(record: dict, max_i: int) -> str:
+    lines = _table1_lines(record, max_i, ["family", "s", "e_HK", "beta_i^F (i>=1)"])
+    widths = [max(len(line[col]) for line in lines) for col in range(len(lines[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+        for line in lines
+    )
 
 
 def _render_table1_csv(record: dict, max_i: int) -> str:
-    header = ["family", "s", "ehk", "fbetti_closed_form"] + [
-        f"beta_{i}" for i in range(1, max_i + 1)
-    ]
-    lines = [",".join(header)]
-    for row in record["rows"]:
-        cells = [
-            row["family"],
-            _fraction_from_json(row["s"]),
-            _fraction_from_json(row["ehk"]),
-            row["fbetti_closed_form"],
-        ] + [_fraction_from_json(row["fbetti"][str(i)]) for i in range(1, max_i + 1)]
-        lines.append(",".join(str(c) for c in cells))
-    return "\n".join(lines)
+    lines = _table1_lines(record, max_i, ["family", "s", "ehk", "fbetti_closed_form"])
+    return "\n".join(",".join(line) for line in lines)
 
 
 def _fraction_from_json(obj: dict) -> str:
-    return _rational_text(Fraction(obj["num"], obj["den"]))
+    return str(Fraction(obj["num"], obj["den"]))
 
 
 def cmd_table1(args) -> int:
@@ -284,7 +272,8 @@ def _scroll21_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
 
 
 def _veronese2_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
-    a, b = pushforward.veronese_class_counts(context_from_q(q))
+    dec = pushforward.decompose(family, context_from_q(q), pushforward.ROUTE_PAPER)
+    a, b = dec.mult("R"), dec.mult("A")
     out = [(f"counts[q={q}] parity split sums to q^3", a + b == q ** 3, f"({a}, {b})")]
     if q <= ENUMERATION_CAP:
         ok = a == enumerate_parity_box3(q, 0) and b == enumerate_parity_box3(q, 1)

@@ -9,11 +9,13 @@ data by q**dim and converge to the limits inside explicit 4/q envelopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mcm, pushforward
 from .rings import FrobeniusContext, RingFamily, context_from_q
+
+CONVERGENCE_MAX_BETTI = 4  # convergence_check covers beta_1..beta_4
 
 
 def _check(condition: bool, message: str) -> None:
@@ -134,7 +136,6 @@ class ConvergenceReport:
     family: RingFamily
     limits: InvariantReport
     checks: tuple[ConvergenceCheck, ...]
-    samples: tuple[FiniteQEstimates, ...] = field(default=())
 
     @property
     def ok(self) -> bool:
@@ -144,9 +145,7 @@ class ConvergenceReport:
         return [c for c in self.checks if not c.ok]
 
 
-def convergence_check(
-    family: RingFamily, q_list: list[int], max_betti: int = 4
-) -> ConvergenceReport:
+def convergence_check(family: RingFamily, q_list: list[int]) -> ConvergenceReport:
     """Verify the 4/q convergence envelopes at each q.
 
     The envelopes are deliberately generous fixed bounds: the scroll free
@@ -158,12 +157,10 @@ def convergence_check(
     """
     lim = limits(family)
     checks: list[ConvergenceCheck] = []
-    samples = []
     for q in q_list:
         ctx = context_from_q(q)
         family.validate_context(ctx)
         est = finite_q_estimates(family, ctx)
-        samples.append(est)
         envelope = Fraction(4, q)
 
         def add(name: str, value: Fraction, target: Fraction, bound: Fraction):
@@ -173,7 +170,7 @@ def convergence_check(
 
         add("s", est.s_est, lim.s, envelope)
         add("ehk", est.ehk_est, lim.ehk, envelope)
-        for i in range(1, max_betti + 1):
+        for i in range(1, CONVERGENCE_MAX_BETTI + 1):
             ratio = lim.fbetti(i) / lim.fbetti(1)
             add(f"fbetti_{i}", est.fbetti_est(i), lim.fbetti(i), envelope * ratio)
         if family.canonical_tag:
@@ -186,4 +183,4 @@ def convergence_check(
                 )
             )
             add("free_vs_canonical", witness, Fraction(0), envelope)
-    return ConvergenceReport(family, lim, tuple(checks), tuple(samples))
+    return ConvergenceReport(family, lim, tuple(checks))

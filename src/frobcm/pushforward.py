@@ -1,26 +1,25 @@
 """Decomposition of the module of q-th roots into indecomposable summands.
 
-Two independent routes are implemented.
+Both routes read one count, the residues of [0, q)^d per class key in closed
+form (``family.class_key_counts``), and differ only in how a key gets its
+tag.
 
-* ``paper_index_sets``: closed index-set counts.  For scrolls these are
-  congruence counts over q x q boxes; for scroll21 the three explicit index
-  sets P(1), P(2), P(3) at odd p; for veronese2 the parity split of the
-  residue cube.
-* ``residue_classes``: the module of q-th roots splits as the direct sum of
-  its residue-class submodules (fractional monomials with fixed exponents
-  mod q).  Each class is classified by computing its minimal generators and
-  reading off mu.  This route is the ground truth: it is defined for every
-  q with p coprime to the grading torsion.  The residues are counted per
-  class key in closed form, never enumerated, and one class per key is
-  classified.
+* ``paper_index_sets``: the paper names it.  Each index set counts the
+  residues of the class keys its family's constructor lists for it
+  (``family.index_keys``): the shifted q x q boxes of a scroll, the sets
+  P(1), P(2), P(3) of scroll21 at odd p, the parity split of veronese2.
+* ``residue_classes``: one minimal-generator search finds it.  The module of
+  q-th roots splits as the direct sum of its residue-class submodules
+  (fractional monomials with fixed exponents mod q); the first residue of
+  each key is classified by reading off mu.  This route is the ground
+  truth: it is defined for every q with p coprime to the grading torsion.
 
-The routes agree on scrolls and veronese2.  On scroll21 they agree on the
-free classes but the index sets do not cover the residue cube: they miss
-the classes with i + j < k and i + j + k even, 1, 50 and 1547 of them at
-q = 3, 9 and 27, a set of density 1/12 rather than a boundary effect.  The
-residue route finds that every one of them has three generators, so its
-BorC count has density 1/6 against the index sets' 1/12.  The difference is
-surfaced, never patched over.
+The routes agree on scrolls and veronese2.  On scroll21 the index sets name
+every key but one, (-1, 0): the classes with i + j < k and i + j + k even,
+1, 50 and 1547 of them at q = 3, 9 and 27, a set of density 1/12 rather
+than a boundary effect.  The residue route finds that every one of them has
+three generators, so its BorC count has density 1/6 against the index sets'
+1/12.  The difference is surfaced, never patched over.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from functools import lru_cache
 
 from . import mcm
 from .errors import AuditFailure
-from .lattice import count_congruence_box
-from .rings import SCROLL, SCROLL21, VERONESE2, FrobeniusContext, RingFamily, scroll21
+from .rings import FrobeniusContext, RingFamily, scroll, scroll21
 
 ROUTE_PAPER = "paper_index_sets"
 ROUTE_CLASSES = "residue_classes"
@@ -94,19 +92,22 @@ class Decomposition:
         return f"{self.family.label} q={self.ctx.q} [{self.route}] {{{body}}}"
 
 
+def _index_set_counts(family: RingFamily, q: int) -> dict[str, int]:
+    """The size of each paper index set: the residues of its class keys."""
+    keys = family.index_keys(q)
+    counts = family.class_key_counts(q)
+    return {tag: sum(counts[key][0] for key in group) for tag, group in keys.items()}
+
+
 def scroll_index_counts(delta: int, ctx: FrobeniusContext) -> list[int]:
     """Multiplicities a_0..a_(delta-1): congruence counts over the index boxes.
 
     a_l counts pairs (i, j) with l q <= i < (l+1) q, 0 <= j < q and
-    i + j divisible by delta.  Exact for every p, including p | delta.
+    i + j divisible by delta, the residues of class key (-l q) mod delta.
+    Exact for every p, including p | delta.
     """
     q = ctx.q
-    if q <= delta:
-        raise ValueError(f"index counts need q > delta, got q={q}, delta={delta}")
-    counts = [
-        count_congruence_box(l * q, (l + 1) * q, 0, q, delta, 0)
-        for l in range(delta)
-    ]
+    counts = list(_index_set_counts(scroll(delta), q).values())
     if sum(counts) != q * q:
         raise AuditFailure("scroll index counts do not partition the box")
     return counts
@@ -117,20 +118,11 @@ def scroll21_index_counts(ctx: FrobeniusContext) -> tuple[int, int, int]:
 
     P(1) is the even-sum part of the halfspace i + j >= k in the residue
     cube; P(2) and P(3) shift i by q and split on i + j - k < 2q versus
-    >= 2q.  With i - q in place of i these are the residues of parity q with
-    sigma = i + j - k below q and at least q, so all three come from the
-    closed band counts in O(1), which are the counts of scroll21's residue
-    class keys; enumeration twins cross-check this for small q in the tests.
+    >= 2q.  Each is the residues of the class keys listed for it in
+    ``scroll21()``, so the counts are O(1) at any q, even q included;
+    enumeration twins cross-check this for small q in the tests.
     """
-    q = ctx.q
-    if q <= 2:
-        raise ValueError(f"index sets need q > 2, got q={q}")
-    bands = {key: n for key, (n, _) in scroll21().class_key_counts(q).items()}
-    parity = q % 2
-    p1 = bands[(0, 0)] + bands[(1, 0)]
-    p2 = bands[(-1, parity)] + bands[(0, parity)]
-    p3 = bands[(1, parity)]
-    return p1, p2, p3
+    return tuple(_index_set_counts(scroll21(), ctx.q).values())
 
 
 def scroll21_index_sets(ctx: FrobeniusContext):
@@ -175,14 +167,6 @@ def scroll21_p_class(ctx: FrobeniusContext, ijk: tuple[int, int, int]) -> int:
             return 3
         return 2  # 0 <= i + j - k is automatic since i >= q > k
     return 0
-
-
-def veronese_class_counts(ctx: FrobeniusContext) -> tuple[int, int]:
-    """(free count, canonical count) = ((q^3 + 1)/2, (q^3 - 1)/2), p odd."""
-    if ctx.p == 2:
-        raise ValueError("veronese2 needs odd characteristic")
-    q = ctx.q
-    return (q ** 3 + 1) // 2, (q ** 3 - 1) // 2
 
 
 def class_minimal_generators(
@@ -283,25 +267,9 @@ def _decompose_cached(
 
 def _paper_multiplicities(family: RingFamily, ctx: FrobeniusContext) -> dict[str, int]:
     """The index-set counts, one per class of positive density, in order."""
-    counts = _INDEX_COUNTS[family.kind](family, ctx)
-    return {tag: n for (tag, _), n in zip(family.densities, counts, strict=True)}
-
-
-def _scroll21_odd_index_counts(family: RingFamily, ctx: FrobeniusContext):
-    if ctx.p == 2:
-        raise ValueError(
-            "scroll21 index sets need odd characteristic: at p = 2 they "
-            "are unproven and do not sum to q^3"
-        )
-    return scroll21_index_counts(ctx)
-
-
-# The paper's index sets are defined per kind.
-_INDEX_COUNTS = {
-    SCROLL: lambda family, ctx: scroll_index_counts(family.delta, ctx),
-    SCROLL21: _scroll21_odd_index_counts,
-    VERONESE2: lambda family, ctx: veronese_class_counts(ctx),
-}
+    if ctx.p == 2 and family.index_p2_refusal:
+        raise ValueError(family.index_p2_refusal)
+    return _index_set_counts(family, ctx.q)
 
 
 def _residue_class_multiplicities(
@@ -394,20 +362,11 @@ def verify_relations_scroll21(
         raise ValueError(f"{ijk} is not in the index sets at q={q}")
     i, j, k = ijk
     contains = scroll21().contains
-    second = (i - q, j + q, k)
-    for gen in ((i, j, k), second):
-        if not contains(gen):
-            return False
-    lhs = (i + q, j + q, k)
-    rhs = (second[0] + 2 * q, second[1], second[2])
-    if lhs != rhs:
-        return False
+    # The relations, as exponent vectors: g1 + q (1, 1, 0) = g2 + q (2, 0, 0)
+    # with g2 = (i - q, j + q, k), and on P(3) g1 + q (1, 0, 1) = g3 + q (2, 0, 0)
+    # with g3 = (i - q, j, k + q).  Both hold identically, so what is left to
+    # check is that the generators lie in the ring.
+    gens = [ijk, (i - q, j + q, k)]
     if which == 3:
-        third = (i - q, j, k + q)
-        if not contains(third):
-            return False
-        lhs = (i + q, j, k + q)
-        rhs = (third[0] + 2 * q, third[1], third[2])
-        if lhs != rhs:
-            return False
-    return True
+        gens.append((i - q, j, k + q))
+    return all(contains(g) for g in gens)

@@ -4,8 +4,9 @@ A family is described in one place, its constructor: ``scroll(delta)``,
 ``scroll21()`` and ``veronese2()`` each build one ``RingFamily`` with the
 membership predicate, the algebra generators (exponent vectors, plain integer
 tuples) and all the other modules read about it: the catalog of MCM classes,
-their densities, the limits, Hilbert series, Betti recurrences, and the
-residue class key with its closed per-key counts.
+their densities, the limits, Hilbert series, Betti recurrences, the
+residue class key with its closed per-key counts, and the paper's index sets
+as the class keys whose residues each set counts.
 
 * ``scroll(delta)``: subalgebra of k[x, y] spanned by monomials whose total
   degree is a multiple of delta; generators x^delta, x^(delta-1) y, ..., y^delta.
@@ -126,6 +127,10 @@ class RingFamily:
     # least residue), the residue meaningless where the count is 0.
     class_key: Callable = _described()
     class_key_counts: Callable[[int], dict] = _described()
+    # index_keys(q) maps the tag of each paper index set, in order, to the
+    # class keys whose residues the set counts
+    index_keys: Callable[[int], dict] = _described()
+    index_p2_refusal: str | None = _described()  # the index sets fail at p = 2
     # Default route at p coprime to the torsion: residue classes, or the
     # index counts if first; else the index counts, or this refusal.
     index_route_first: bool = _described()
@@ -207,6 +212,13 @@ def _scroll(d: int) -> RingFamily:
             for k in range(d)
         }
 
+    def index_keys(q):
+        # P(l) is the box l q <= i < (l + 1) q, 0 <= j < q with d | i + j;
+        # i - l q runs over the residues of key (-l q) mod d
+        if q <= d:
+            raise ValueError(f"index counts need q > delta, got q={q}, delta={d}")
+        return {f"M({l})": ((-l * q) % d,) for l in range(d)}
+
     # sum_{k>=0} (k d + l + 1) t^(k d + l) in closed form
     def series(l):
         num = Polynomial.monomial(l + 1, l) + Polynomial.monomial(d - 1 - l, l + d)
@@ -233,6 +245,7 @@ def _scroll(d: int) -> RingFamily:
         # the residue degree mod delta fixes the class
         class_key=lambda q, r: (r[0] + r[1]) % d,
         class_key_counts=class_key_counts,
+        index_keys=index_keys,
     )
 
 
@@ -275,6 +288,20 @@ def _scroll21() -> RingFamily:
             counts[(1, parity)] = (high, (2 - parity, q - 1, 0))
         return counts
 
+    def index_keys(q):
+        # P(1) is the even residues with sigma >= 0; P(2) and P(3) shift i by
+        # q, so i - q runs over the residues of parity q with sigma < q and
+        # sigma >= q.  No set counts key (-1, 0) at odd q, the residues with
+        # i + j < k and i + j + k even: that key is the whole route difference.
+        if q <= 2:
+            raise ValueError(f"index sets need q > 2, got q={q}")
+        parity = q % 2
+        return {
+            "R": ((0, 0), (1, 0)),
+            "A": ((-1, parity), (0, parity)),
+            "BorC": ((1, parity),),
+        }
+
     return RingFamily(
         SCROLL21,
         label=SCROLL21,
@@ -307,6 +334,11 @@ def _scroll21() -> RingFamily:
         recurrences=recurrences,
         class_key=class_key,
         class_key_counts=class_key_counts,
+        index_keys=index_keys,
+        index_p2_refusal=(
+            "scroll21 index sets need odd characteristic: at p = 2 they "
+            "are unproven and do not sum to q^3"
+        ),
         torsion_p_refusal=(
             "scroll21 decompositions need odd p: the residue classes "
             "degenerate and the index sets are unproven at p = 2"
@@ -359,6 +391,7 @@ def _veronese2() -> RingFamily:
         class_key_counts=lambda q: {
             parity: (count_parity_box3(q, parity), (0, 0, parity)) for parity in (0, 1)
         },
+        index_keys=lambda q: {"R": (0,), "A": (1,)},
         # the exact parity counts: valid for every odd p and cheap at any q
         index_route_first=True,
     )

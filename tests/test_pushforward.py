@@ -6,6 +6,7 @@ import pytest
 
 from frobcm import pushforward
 from frobcm.cli import _default_families
+from frobcm.lattice import enumerate_congruence_box
 from frobcm.mcm import class_tag_for_mu
 from frobcm.pushforward import (
     ROUTE_CLASSES,
@@ -17,7 +18,6 @@ from frobcm.pushforward import (
     scroll21_index_sets,
     scroll21_p_class,
     scroll_index_counts,
-    veronese_class_counts,
     verify_relations_scroll21,
     verify_summand_iso_scroll,
 )
@@ -100,6 +100,14 @@ def test_scroll_index_counts():
     for delta, q in ((2, 5), (3, 4), (4, 9), (5, 8)):
         counts = scroll_index_counts(delta, context_from_q(q))
         assert sum(counts) == q * q
+    # the literal boxes of the index sets, p | delta included
+    for delta in range(2, 11):
+        for q in (11, 16, 25, 27):
+            boxes = [
+                enumerate_congruence_box(l * q, (l + 1) * q, 0, q, delta, 0)
+                for l in range(delta)
+            ]
+            assert scroll_index_counts(delta, context_from_q(q)) == boxes, (delta, q)
 
 
 def test_scroll_index_counts_need_large_q():
@@ -130,13 +138,14 @@ def test_scroll21_p_class_matches_sets():
 
 
 def test_veronese_class_counts():
-    assert veronese_class_counts(Q3) == (14, 13)
-    assert veronese_class_counts(FrobeniusContext(3, 0)) == (1, 0)
+    # the paper route is the parity split ((q^3 + 1)/2, (q^3 - 1)/2)
+    assert decompose(veronese2(), Q3, ROUTE_PAPER).as_dict() == {"R": 14, "A": 13}
+    assert decompose(veronese2(), FrobeniusContext(3, 0), ROUTE_PAPER).as_dict() == {"R": 1}
     for q in (3, 5, 9):
-        a, b = veronese_class_counts(context_from_q(q))
-        assert a + b == q ** 3
+        dec = decompose(veronese2(), context_from_q(q), ROUTE_PAPER)
+        assert dec.as_dict() == {"R": (q ** 3 + 1) // 2, "A": (q ** 3 - 1) // 2}
     with pytest.raises(ValueError):
-        veronese_class_counts(FrobeniusContext(2, 1))
+        decompose(veronese2(), FrobeniusContext(2, 1), ROUTE_PAPER)
 
 
 def test_class_minimal_generators_examples():
@@ -234,13 +243,17 @@ def test_scroll21_boundary_gap_at_q3():
 
 def test_scroll21_route_difference_has_positive_density():
     # the classes the index sets miss (i + j < k, i + j + k even) all land
-    # in BorC; their number grows like q^3 / 12, so it is no boundary effect
-    for q, missed in ((3, 1), (9, 50), (27, 1547)):
+    # in BorC; their number grows like q^3 / 12, so it is no boundary effect,
+    # and they are exactly the residues of class key (-1, 0)
+    pinned = {3: 1, 9: 50, 27: 1547}
+    for q in (3, 5, 7, 9, 25, 27, 3 ** 8):
         ctx = context_from_q(q)
         paper = decompose(scroll21(), ctx, ROUTE_PAPER).as_dict()
         classes = decompose(scroll21(), ctx, ROUTE_CLASSES).as_dict()
+        missed = scroll21().class_key_counts(q)[(-1, 0)][0]
         diff = {tag: classes[tag] - paper.get(tag, 0) for tag in classes}
         assert diff == {"R": 0, "A": 0, "BorC": missed}
+        assert missed == pinned.get(q, missed)
         assert sum(paper.values()) == q ** 3 - missed
 
 
