@@ -233,6 +233,8 @@ def cmd_decompose(args) -> int:
 
 
 def _scroll_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+    if q <= family.delta:
+        return [(f"counts[q={q}]", True, f"skipped, needs q > {family.delta}")]
     ctx = context_from_q(q)
     counts = pushforward.scroll_index_counts(family.delta, ctx)
     ok_sum = sum(counts) == q * q

@@ -113,6 +113,13 @@ def test_verify_syzygy_counts_sets(capsys):
     assert "3 syzygy sets checked" in out
 
 
+def test_verify_skips_scroll_counts_at_small_q(capsys):
+    # the index boxes need q > delta; like iso, the suite is skipped there
+    code, out, _ = run(capsys, ["verify", "--ring", "scroll:5", "--q", "3", "--suite", "counts"])
+    assert code == 0
+    assert out == "PASS counts[q=3]  (skipped, needs q > 5)\nall 1 checks passed\n"
+
+
 def test_verify_unknown_suite(capsys):
     code, _, _ = run(
         capsys, ["verify", "--ring", "scroll:4", "--q", "5", "--suite", "nope"]

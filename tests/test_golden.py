@@ -16,8 +16,9 @@ moved into the ring constructors, with
     python -m frobcm.cli verify --ring R --q Q --suite all --format json
 
 into ``table1_max12.<txt|json|csv>`` and ``verify_<R>_q<Q>.json`` for every
-default family and Q in {3, 5, 7, 9}; the verify files keep the FAIL rows
-that scrolls report at q <= delta.
+default family and Q in {3, 5, 7, 9}.  The scroll files at q <= delta were
+written again after the counts suite learned to skip there, as iso does;
+they keep the convergence FAIL rows that scrolls report at small q.
 """
 
 import json
