@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import mcm, pushforward
 from .rings import FrobeniusContext, RingFamily, context_from_q
 
-CONVERGENCE_MAX_BETTI = 4  # convergence_check covers beta_1..beta_4
+_MAX_BETTI = 4  # convergence_check covers beta_1..beta_4
 
 
 def _check(condition: bool, message: str) -> None:
@@ -170,7 +170,7 @@ def convergence_check(family: RingFamily, q_list: list[int]) -> ConvergenceRepor
 
         add("s", est.s_est, lim.s, envelope)
         add("ehk", est.ehk_est, lim.ehk, envelope)
-        for i in range(1, CONVERGENCE_MAX_BETTI + 1):
+        for i in range(1, _MAX_BETTI + 1):
             ratio = lim.fbetti(i) / lim.fbetti(1)
             add(f"fbetti_{i}", est.fbetti_est(i), lim.fbetti(i), envelope * ratio)
         if family.canonical_tag:

@@ -266,7 +266,7 @@ def _decompose_cached(
 
 
 def _paper_multiplicities(family: RingFamily, ctx: FrobeniusContext) -> dict[str, int]:
-    """The index-set counts, one per class of positive density, in order."""
+    """The paper's multiplicities: each index set's class-key counts, summed."""
     if ctx.p == 2 and family.index_p2_refusal:
         raise ValueError(family.index_p2_refusal)
     return _index_set_counts(family, ctx.q)
