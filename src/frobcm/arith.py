@@ -181,10 +181,6 @@ class HilbertSeries:
         object.__setattr__(self, "pole_order", pole)
         object.__setattr__(self, "base", base)
 
-    @classmethod
-    def zero(cls) -> "HilbertSeries":
-        return cls(Polynomial.zero(), 0)
-
     def coefficient(self, n: int) -> int:
         """dim of the degree-n piece, by formal expansion of the denominator."""
         if n < 0:

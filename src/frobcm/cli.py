@@ -137,25 +137,13 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def _legal_routes(family: RingFamily, ctx: FrobeniusContext) -> list[str]:
-    routes = []
-    try:
-        pushforward.decompose(family, ctx, pushforward.ROUTE_PAPER)
-        routes.append(pushforward.ROUTE_PAPER)
-    except ValueError:
-        pass
-    if family.coprime_torsion(ctx):
-        routes.append(pushforward.ROUTE_CLASSES)
-    return routes
-
-
 def build_decompose_record(
     family: RingFamily, ctx: FrobeniusContext, routes: list[str], max_i: int
 ) -> dict:
     per_route = {}
     for route in routes:
-        dec = pushforward.decompose(family, ctx, route)
         est = invariants.finite_q_estimates(family, ctx, route)
+        dec = est.decomposition
         per_route[route] = {
             "multiplicities": dict(dec.multiplicities),
             "sum_mult_times_mu": dec.total_min_generators(),
@@ -170,8 +158,7 @@ def build_decompose_record(
         }
     diff = None
     if len(routes) == 2:
-        a = pushforward.decompose(family, ctx, routes[0]).as_dict()
-        b = pushforward.decompose(family, ctx, routes[1]).as_dict()
+        a, b = (per_route[route]["multiplicities"] for route in routes)
         diff = {
             tag: b.get(tag, 0) - a.get(tag, 0)
             for tag in sorted(set(a) | set(b))
@@ -195,18 +182,12 @@ def build_decompose_record(
 def cmd_decompose(args) -> int:
     family = parse_ring(args.ring)
     ctx = FrobeniusContext(args.p, args.e)
-    family.validate_context(ctx)
     if args.route == "both":
-        routes = _legal_routes(family, ctx)
+        routes = pushforward.legal_routes(family, ctx)
         if not routes:
-            raise ValueError(
-                f"no decomposition route is legal for {family.label} at {ctx}"
-            )
+            pushforward.default_route(family, ctx)  # raises: no route is legal
     else:
-        wanted = (
-            pushforward.ROUTE_PAPER if args.route == "paper" else pushforward.ROUTE_CLASSES
-        )
-        routes = [wanted]
+        routes = [pushforward.ROUTE_PAPER if args.route == "paper" else pushforward.ROUTE_CLASSES]
     record = build_decompose_record(family, ctx, routes, args.max_i)
     if args.format == "json":
         print(_dump(record))
@@ -249,6 +230,8 @@ def _scroll_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
 
 
 def _scroll21_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+    if q <= 2:
+        return [(f"counts[q={q}]", True, "skipped, needs q > 2")]
     ctx = context_from_q(q)
     out = []
     p1, p2, p3 = pushforward.scroll21_index_counts(ctx)
@@ -302,6 +285,8 @@ def _scroll_iso(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
 
 
 def _scroll21_relations(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+    if q <= 2:
+        return [(f"relations[q={q}]", True, "skipped, needs q > 2")]
     if q > ENUMERATION_CAP:
         return [(f"relations[q={q}]", True, "skipped, enumeration too large")]
     ctx = context_from_q(q)

@@ -159,7 +159,6 @@ def convergence_check(family: RingFamily, q_list: list[int]) -> ConvergenceRepor
     checks: list[ConvergenceCheck] = []
     for q in q_list:
         ctx = context_from_q(q)
-        family.validate_context(ctx)
         est = finite_q_estimates(family, ctx)
         envelope = Fraction(4, q)
 

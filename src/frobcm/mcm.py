@@ -30,10 +30,6 @@ class SummandClass:
     rank: int
     beta1: int  # first Betti number; beta_i grows by family.betti_ratio after it
 
-    @property
-    def is_free(self) -> bool:
-        return self == free_class(self.family)
-
     def betti(self, i: int) -> int:
         """i-th Betti number from the closed forms."""
         if i < 0:

@@ -14,6 +14,11 @@ tag.
   each key is classified by reading off mu.  This route is the ground
   truth: it is defined for every q with p coprime to the grading torsion.
 
+``legal_routes`` decides where each route may run, from one precondition
+check per route; an explicitly requested route that is not legal raises that
+check's reason.  The default is residue classes where legal, else the index
+sets, else an error naming the family and q.
+
 The routes agree on scrolls and veronese2.  On scroll21 the index sets name
 every key but one, (-1, 0): the classes with i + j < k and i + j + k even,
 1, 50 and 1547 of them at q = 3, 9 and 27, a set of density 1/12 rather
@@ -169,6 +174,50 @@ def scroll21_p_class(ctx: FrobeniusContext, ijk: tuple[int, int, int]) -> int:
     return 0
 
 
+def _paper_refusal(family: RingFamily, ctx: FrobeniusContext) -> str | None:
+    """Why the index sets cannot run at ctx, or None when they can."""
+    if ctx.p == 2 and family.index_p2_refusal:
+        return family.index_p2_refusal
+    try:
+        family.index_keys(ctx.q)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _classes_refusal(family: RingFamily, ctx: FrobeniusContext) -> str | None:
+    """Why the residue classes cannot run at ctx, or None when they can."""
+    if family.coprime_torsion(ctx):
+        return None
+    return (
+        f"residue-class route needs p coprime to the torsion index of "
+        f"{family.label}, got p={ctx.p}"
+    )
+
+
+_REFUSALS = {ROUTE_PAPER: _paper_refusal, ROUTE_CLASSES: _classes_refusal}
+
+
+def legal_routes(family: RingFamily, ctx: FrobeniusContext) -> list[str]:
+    """The routes that can run at ctx, in report order (index sets first)."""
+    family.validate_context(ctx)
+    return [route for route in ROUTES if _REFUSALS[route](family, ctx) is None]
+
+
+def default_route(family: RingFamily, ctx: FrobeniusContext) -> str:
+    """The route used when callers do not pick one.
+
+    Residue classes where legal, else the index sets; a ValueError when
+    neither can run.
+    """
+    routes = legal_routes(family, ctx)
+    if not routes:
+        raise ValueError(
+            f"no decomposition route is legal for {family.label} at {ctx}"
+        )
+    return routes[-1]
+
+
 def class_minimal_generators(
     family: RingFamily, ctx: FrobeniusContext, residue: tuple[int, ...]
 ) -> ClassModule:
@@ -182,11 +231,9 @@ def class_minimal_generators(
     returning a wrong answer.
     """
     family.validate_context(ctx)
-    if not family.coprime_torsion(ctx):
-        raise ValueError(
-            f"residue classes of {family.label} need p coprime to the torsion "
-            f"index {family.torsion_index}, got p={ctx.p}"
-        )
+    refusal = _classes_refusal(family, ctx)
+    if refusal:
+        raise ValueError(refusal)
     q = ctx.q
     n = family.ambient_vars
     if len(residue) != n:
@@ -217,21 +264,6 @@ def class_minimal_generators(
     return ClassModule(family, ctx, tuple(residue), tuple(sorted(minimal)))
 
 
-def default_route(family: RingFamily, ctx: FrobeniusContext) -> str:
-    """The route used when callers do not pick one.
-
-    Residue classes, or the index counts for a family whose constructor
-    prefers them, while p is coprime to the torsion index; otherwise the
-    index counts, unless the family has no route there.
-    """
-    family.validate_context(ctx)
-    if family.coprime_torsion(ctx):
-        return ROUTE_PAPER if family.index_route_first else ROUTE_CLASSES
-    if family.torsion_p_refusal:
-        raise ValueError(family.torsion_p_refusal)
-    return ROUTE_PAPER
-
-
 def decompose(
     family: RingFamily, ctx: FrobeniusContext, route: str | None = None
 ) -> Decomposition:
@@ -248,6 +280,9 @@ def _decompose_cached(
     family: RingFamily, ctx: FrobeniusContext, route: str
 ) -> Decomposition:
     family.validate_context(ctx)
+    refusal = _REFUSALS[route](family, ctx)
+    if refusal:
+        raise ValueError(refusal)
     if route == ROUTE_PAPER:
         counts = _paper_multiplicities(family, ctx)
     else:
@@ -267,8 +302,6 @@ def _decompose_cached(
 
 def _paper_multiplicities(family: RingFamily, ctx: FrobeniusContext) -> dict[str, int]:
     """The paper's multiplicities: each index set's class-key counts, summed."""
-    if ctx.p == 2 and family.index_p2_refusal:
-        raise ValueError(family.index_p2_refusal)
     return _index_set_counts(family, ctx.q)
 
 
@@ -281,11 +314,6 @@ def _residue_class_multiplicities(
     its first residue, so the cost is one minimal-generator search per key
     with residues, independent of q.
     """
-    if not family.coprime_torsion(ctx):
-        raise ValueError(
-            f"residue-class route needs p coprime to the torsion index of "
-            f"{family.label}, got p={ctx.p}"
-        )
     q = ctx.q
     counts: dict[str, int] = {}
     total = 0

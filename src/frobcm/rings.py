@@ -102,7 +102,7 @@ class RingFamily:
     delta: int | None = None
     label: str = _described()
     ambient_vars: int = _described()
-    torsion_index: int = _described()
+    torsion_index: int = _described()  # the residue classes need p prime to it
     gens: tuple[tuple[int, ...], ...] = _described()
     member: Callable[[tuple[int, ...]], bool] = _described()  # on vectors >= 0
     p2_refusal: str | None = _described()  # why p = 2 has no theory, if it has none
@@ -128,13 +128,11 @@ class RingFamily:
     class_key: Callable = _described()
     class_key_counts: Callable[[int], dict] = _described()
     # index_keys(q) maps the tag of each paper index set, in order, to the
-    # class keys whose residues the set counts
+    # class keys whose residues the set counts, or raises ValueError at a q
+    # the sets do not cover; that refusal and index_p2_refusal are what
+    # pushforward.legal_routes reads for the index-set route
     index_keys: Callable[[int], dict] = _described()
     index_p2_refusal: str | None = _described()  # the index sets fail at p = 2
-    # Default route at p coprime to the torsion: residue classes, or the
-    # index counts if first; else the index counts, or this refusal.
-    index_route_first: bool = _described()
-    torsion_p_refusal: str | None = _described()
 
     @property
     def krull_dim(self) -> int:
@@ -339,10 +337,6 @@ def _scroll21() -> RingFamily:
             "scroll21 index sets need odd characteristic: at p = 2 they "
             "are unproven and do not sum to q^3"
         ),
-        torsion_p_refusal=(
-            "scroll21 decompositions need odd p: the residue classes "
-            "degenerate and the index sets are unproven at p = 2"
-        ),
     )
 
 
@@ -392,8 +386,6 @@ def _veronese2() -> RingFamily:
             parity: (count_parity_box3(q, parity), (0, 0, parity)) for parity in (0, 1)
         },
         index_keys=lambda q: {"R": (0,), "A": (1,)},
-        # the exact parity counts: valid for every odd p and cheap at any q
-        index_route_first=True,
     )
 
 

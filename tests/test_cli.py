@@ -120,6 +120,15 @@ def test_verify_skips_scroll_counts_at_small_q(capsys):
     assert out == "PASS counts[q=3]  (skipped, needs q > 5)\nall 1 checks passed\n"
 
 
+def test_verify_skips_scroll21_index_suites_at_q2(capsys):
+    # the index sets need q > 2; counts and relations are skipped there
+    for suite in ("counts", "relations"):
+        argv = ["verify", "--ring", "scroll21", "--q", "2", "--suite", suite]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == f"PASS {suite}[q=2]  (skipped, needs q > 2)\nall 1 checks passed\n"
+
+
 def test_verify_unknown_suite(capsys):
     code, _, _ = run(
         capsys, ["verify", "--ring", "scroll:4", "--q", "5", "--suite", "nope"]

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 from math import gcd
@@ -5,7 +6,8 @@ from math import gcd
 import pytest
 
 from frobcm import pushforward
-from frobcm.cli import _default_families
+from frobcm.cli import _default_families, main
+from frobcm.invariants import convergence_check
 from frobcm.lattice import enumerate_congruence_box
 from frobcm.mcm import class_tag_for_mu
 from frobcm.pushforward import (
@@ -14,6 +16,8 @@ from frobcm.pushforward import (
     _residue_class_multiplicities,
     class_minimal_generators,
     decompose,
+    default_route,
+    legal_routes,
     scroll21_index_counts,
     scroll21_index_sets,
     scroll21_p_class,
@@ -341,16 +345,73 @@ def test_minimal_generators_partition_by_class():
 
 
 def test_decompose_torsion_rules():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="residue-class route needs p coprime"):
         decompose(scroll21(), FrobeniusContext(2, 2), ROUTE_CLASSES)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="residue-class route needs p coprime"):
         decompose(scroll(3), Q3, ROUTE_CLASSES)
     # scroll21's index sets are unproven at p = 2 (they sum to 61 at q = 4)
     with pytest.raises(ValueError, match="odd characteristic"):
         decompose(scroll21(), FrobeniusContext(2, 2), ROUTE_PAPER)
+    with pytest.raises(ValueError, match="index counts need q > delta"):
+        decompose(scroll(3), Q3, ROUTE_PAPER)
+    # neither route runs at these two, so there is no default
+    for family, ctx in ((scroll21(), FrobeniusContext(2, 2)), (scroll(3), Q3)):
+        assert legal_routes(family, ctx) == []
+        with pytest.raises(ValueError, match="no decomposition route is legal"):
+            default_route(family, ctx)
+        with pytest.raises(ValueError, match="no decomposition route is legal"):
+            decompose(family, ctx)
     # p dividing delta still allows the index-count route
     dec = decompose(scroll(3), FrobeniusContext(3, 2), ROUTE_PAPER)
     assert sum(dec.as_dict().values()) == 81
+
+
+@pytest.mark.parametrize("label", _default_families())
+def test_legal_routes_match_cli_both(capsys, label):
+    family = parse_ring(label)
+    for q in (3, 4, 5, 7, 8, 9, 25, 27):
+        ctx = context_from_q(q)
+        argv = ["decompose", "--ring", label, "--p", str(ctx.p), "--e", str(ctx.e)]
+        code = main(argv + ["--format", "json"])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert legal_routes(family, ctx) == json.loads(out)["command"]["routes"]
+            continue
+        assert code == 2
+        try:
+            routes = legal_routes(family, ctx)
+        except ValueError as exc:
+            assert err == f"error: {exc}\n"
+            continue
+        assert routes == []
+        assert err.startswith(f"error: no decomposition route is legal for {label}")
+
+
+def test_default_route_prefers_residue_classes():
+    for label in _default_families():
+        family = parse_ring(label)
+        for q in PRIME_POWERS_TO_27:
+            ctx = context_from_q(q)
+            try:
+                routes = legal_routes(family, ctx)
+            except ValueError:
+                continue
+            if ROUTE_CLASSES in routes:
+                assert default_route(family, ctx) == ROUTE_CLASSES
+                assert decompose(family, ctx).route == ROUTE_CLASSES
+            elif routes:
+                assert default_route(family, ctx) == ROUTE_PAPER
+
+
+def test_veronese2_convergence_is_route_independent(monkeypatch):
+    estimates = {}
+    for route in (ROUTE_PAPER, ROUTE_CLASSES):
+        monkeypatch.setattr(pushforward, "default_route", lambda family, ctx: route)
+        assert decompose(veronese2(), Q3).route == route
+        report = convergence_check(veronese2(), [3, 5, 9])
+        estimates[route] = [(c.q, c.name, c.estimate) for c in report.checks]
+        assert report.ok
+    assert estimates[ROUTE_PAPER] == estimates[ROUTE_CLASSES]
 
 
 def test_verify_summand_iso_scroll():
