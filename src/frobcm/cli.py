@@ -34,6 +34,18 @@ SUITES = ("counts", "iso", "relations", "syzygy", "colength", "convergence", "al
 
 ENUMERATION_CAP = 27  # largest q whose cubes the twins enumerate outright
 
+# Largest work estimate a brute-force check may run: colength rows, scroll
+# iso pairs or scroll enumeration-twin points.  Over it the check reports a
+# passing "skipped" row that states the estimate.
+WORK_BUDGET = 10_000_000
+
+
+def _over_budget(work: int) -> str | None:
+    """The skip detail for a check whose work estimate exceeds the budget."""
+    if work > WORK_BUDGET:
+        return f"skipped, work estimate {work} over budget {WORK_BUDGET}"
+    return None
+
 
 def _rational_json(value: Fraction) -> dict:
     try:
@@ -219,14 +231,16 @@ def _scroll_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     ctx = context_from_q(q)
     counts = pushforward.scroll_index_counts(family.delta, ctx)
     ok_sum = sum(counts) == q * q
+    out = [(f"counts[q={q}] sum a_l = q^2", ok_sum, f"{sum(counts)} vs {q * q}")]
+    twin = f"counts[q={q}] a_l vs enumeration"
+    skip = _over_budget(family.delta * q * q)
+    if skip:
+        return out + [(twin, True, skip)]
     enum = [
         enumerate_congruence_box(l * q, (l + 1) * q, 0, q, family.delta, 0)
         for l in range(family.delta)
     ]
-    return [
-        (f"counts[q={q}] sum a_l = q^2", ok_sum, f"{sum(counts)} vs {q * q}"),
-        (f"counts[q={q}] a_l vs enumeration", counts == enum, f"{counts}"),
-    ]
+    return out + [(twin, counts == enum, f"{counts}")]
 
 
 def _scroll21_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
@@ -271,6 +285,9 @@ def _scroll_iso(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     delta = family.delta
     if q <= delta:
         return [(f"iso[q={q}]", True, f"skipped, needs q > {delta}")]
+    skip = _over_budget(delta * q * q)
+    if skip:
+        return [(f"iso[q={q}]", True, skip)]
     checked = 0
     ok = True
     for l in range(delta):
@@ -345,6 +362,9 @@ _suite_syzygy = _kind_suite("syzygy")
 
 def _suite_colength(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     ctx = context_from_q(q)
+    skip = _over_budget(oracle.colength_rows(family, ctx))
+    if skip:
+        return [(f"colength[q={q}]", True, skip)]
     result = oracle.lambda_frobenius_quotient(family, ctx)
     lim = invariants.limits(family)
     gap = abs(result.normalized - lim.ehk)

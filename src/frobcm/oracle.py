@@ -1,9 +1,12 @@
 """Brute-force verifiers, independent of the decomposition pipeline.
 
-Everything here is enumeration over bounded exponent regions plus the ring
-membership conditions; none of the closed-form counting operations are
-called.  Enumeration bounds are audited at runtime: when an audit fails the
-oracle raises instead of reporting a count that might be wrong.
+Everything here works over bounded exponent regions from the ring membership
+and coverage conditions alone; none of the closed-form counting operations
+are called.  The colength counts the box row by row, each row's uncovered
+points being one interval counted by a step formula; the generator count
+enumerates points.  Bounds are audited at runtime (the colength on its
+rows): when an audit fails the oracle raises instead of reporting a count
+that might be wrong.
 """
 
 from __future__ import annotations
@@ -29,79 +32,104 @@ class ColengthResult:
 def lambda_frobenius_quotient(family: RingFamily, ctx: FrobeniusContext) -> ColengthResult:
     """Length of R modulo the Frobenius power of the maximal ideal.
 
-    Counts semigroup points outside m^[q] by enumerating the box
-    [0, 2 q G)^n, G the largest generator coordinate.  Any point outside the
-    box is in m^[q]: subtracting q times a suitable generator always lands
-    back in the semigroup once some coordinate reaches 2 q G.  The outermost
-    q-thick layer of the box must already be clean, which is audited.
+    Counts semigroup points outside m^[q] in the box [0, 2 q G)^n, G the
+    largest generator coordinate.  Any point outside the box is in m^[q]:
+    subtracting q times a suitable generator always lands back in the
+    semigroup once some coordinate reaches 2 q G.  The count runs row by row
+    (a row fixes every coordinate but the last): on each row the uncovered
+    points form one interval of a congruence class, read off the kernel's
+    coverage conditions and counted by one step formula.  The outermost
+    q-thick layer of the box must already be clean, which is audited on the
+    rows: a nonempty row that starts in the layer, or whose interval reaches
+    into it, raises.
     """
     family.validate_context(ctx)
     q = ctx.q
-    bound = 2 * q * max(c for g in family.generators() for c in g)
-    band = bound - q
+    bound, band = _colength_box(family, q)
     count = _COLENGTH_KERNELS[family.kind](family, q, bound, band)
     return ColengthResult(family, ctx, count, Fraction(count, q ** family.krull_dim))
+
+
+def colength_rows(family: RingFamily, ctx: FrobeniusContext) -> int:
+    """The number of rows ``lambda_frobenius_quotient`` scans at ctx."""
+    bound, _ = _colength_box(family, ctx.q)
+    return bound ** (family.ambient_vars - 1)
+
+
+def _colength_box(family: RingFamily, q: int) -> tuple[int, int]:
+    """The box bound 2 q G and the start of its audited outer layer."""
+    bound = 2 * q * max(c for g in family.generators() for c in g)
+    return bound, bound - q
 
 
 def _lambda_scroll(delta: int, q: int, bound: int, band: int) -> int:
     # members: i + j divisible by delta; m^[q] needs floor(i/q) + floor(j/q)
     # to fit some split (delta - k, k), i.e. the floors must sum to delta.
+    # Row i is uncovered exactly for j < (delta - min(delta, i // q)) q.
     count = 0
     for i in range(bound):
+        hi = min(bound, (delta - min(delta, i // q)) * q)
         start = (-i) % delta
-        cap_i = min(delta, i // q)
-        for j in range(start, bound, delta):
-            if cap_i + min(delta, j // q) >= delta:
-                continue
-            if i >= band or j >= band:
-                raise AuditFailure("scroll colength box audit failed")
-            count += 1
+        if start >= hi:
+            continue
+        top = hi - 1 - (hi - 1 - start) % delta
+        if i >= band or top >= band:
+            raise AuditFailure("scroll colength box audit failed")
+        count += (top - start) // delta + 1
     return count
 
 
 def _lambda_scroll21(q: int, bound: int, band: int) -> int:
     # members: i + j + k even and i + j >= k; coverage subtracts q times one
     # of x^2, xy, y^2 (dropping i + j - k by 2q) or xz, yz (preserving it).
+    # On row (i, j) the first three leave k > i + j - 2q uncovered when one
+    # of them fits, the last two k < q; rows past i or j = 3q are empty.
     q2 = 2 * q
+    rows = min(bound, 3 * q)
     count = 0
-    for i in range(bound):
-        for j in range(bound):
-            top = min(i + j, bound - 1)
-            for k in range((i + j) % 2, top + 1, 2):
-                s = i + j - k
-                if (
-                    (i >= q2 and s >= q2)
-                    or (i >= q and j >= q and s >= q2)
-                    or (j >= q2 and s >= q2)
-                    or (i >= q and k >= q)
-                    or (j >= q and k >= q)
-                ):
-                    continue
-                if i >= band or j >= band or k >= band:
-                    raise AuditFailure("scroll21 colength box audit failed")
-                count += 1
+    for i in range(rows):
+        for j in range(rows):
+            s = i + j
+            lo = s % 2
+            if i >= q2 or j >= q2 or (i >= q and j >= q):
+                lo = max(lo, s - q2 + 2)
+            top = min(s, bound - 1)
+            if i >= q or j >= q:
+                top = min(top, q - 1)
+            top -= (top - s) % 2
+            if top < lo:
+                continue
+            if i >= band or j >= band or top >= band:
+                raise AuditFailure("scroll21 colength box audit failed")
+            count += (top - lo) // 2 + 1
     return count
 
 
 def _lambda_veronese2(q: int, bound: int, band: int) -> int:
     # members: even total degree; coverage needs two coordinates >= q or one
-    # coordinate >= 2q (parity is preserved automatically).
+    # coordinate >= 2q (parity is preserved automatically).  Row (i, j) is
+    # empty when i or j is >= 2q or both are >= q; otherwise k < q when one
+    # of them is >= q and k < 2q when neither is.
     q2 = 2 * q
+    rows = min(bound, q2)
     count = 0
-    for i in range(bound):
-        for j in range(bound):
-            for k in range((i + j) % 2, bound, 2):
-                big = (i >= q) + (j >= q) + (k >= q)
-                if big >= 2 or i >= q2 or j >= q2 or k >= q2:
-                    continue
-                if i >= band or j >= band or k >= band:
-                    raise AuditFailure("veronese2 colength box audit failed")
-                count += 1
+    for i in range(rows):
+        for j in range(rows):
+            if i >= q and j >= q:
+                continue
+            top = min(q - 1 if i >= q or j >= q else q2 - 1, bound - 1)
+            lo = (i + j) % 2
+            top -= (top - lo) % 2
+            if top < lo:
+                continue
+            if i >= band or j >= band or top >= band:
+                raise AuditFailure("veronese2 colength box audit failed")
+            count += (top - lo) // 2 + 1
     return count
 
 
-# One hand-unrolled colength loop per kind: the oracle's reference counts,
-# kept apart from the generic membership predicates.
+# One hand-written row kernel per kind: the oracle's reference counts, kept
+# apart from the generic membership predicates and the class-key counts.
 _COLENGTH_KERNELS = {
     SCROLL: lambda family, *box: _lambda_scroll(family.delta, *box),
     SCROLL21: lambda family, *box: _lambda_scroll21(*box),

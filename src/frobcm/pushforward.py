@@ -343,6 +343,8 @@ def verify_summand_iso_scroll(
     The class generated by the fractional monomials with numerators
     (i - m q, j + m q), m = 0..l, must have dimension k delta + l + 1 at its
     k-th occupied degree.  Dimensions are computed by counting monomials.
+    The count sees (i, j) only through i // q and j // q, so each distinct
+    case is counted once and cached; every class is still validated.
     """
     q = ctx.q
     if q <= delta:
@@ -352,13 +354,19 @@ def verify_summand_iso_scroll(
     i, j = ij
     if not (l * q <= i < (l + 1) * q and 0 <= j < q and (i + j) % delta == 0):
         raise ValueError(f"(i, j) = {ij} is not in the index set P({l}) at q={q}")
+    return _iso_dimensions_match(delta, l, i // q, j // q, steps)
+
+
+@lru_cache(maxsize=None)
+def _iso_dimensions_match(delta: int, l: int, i_q: int, j_q: int, steps: int) -> bool:
+    # The monomial count sees (i, j) only through i_q = i // q and
+    # j_q = j // q: a = i + t q >= 0 exactly when t >= -i_q, and
+    # b = j + (k delta - t) q >= 0 exactly when t <= k delta + j_q.
     for k in range(steps):
         expected = k * delta + l + 1
         found = 0
         for t in range(-(l + 2), k * delta + 3):
-            a = i + t * q
-            b = j + (k * delta - t) * q
-            if a < 0 or b < 0:
+            if t < -i_q or t > k * delta + j_q:
                 continue
             # the point belongs to the class when some generator index m
             # leaves a semigroup multiple

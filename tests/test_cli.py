@@ -1,8 +1,15 @@
 import json
 
-from frobcm.cli import _default_families, build_table1_record, build_verify_record, main
+from frobcm.cli import (
+    WORK_BUDGET,
+    _default_families,
+    build_table1_record,
+    build_verify_record,
+    main,
+)
 from frobcm.invariants import finite_q_estimates, limits
-from frobcm.rings import FrobeniusContext, parse_ring, scroll, scroll21
+from frobcm.oracle import colength_rows
+from frobcm.rings import FrobeniusContext, context_from_q, parse_ring, scroll, scroll21
 
 
 def run(capsys, argv):
@@ -127,6 +134,37 @@ def test_verify_skips_scroll21_index_suites_at_q2(capsys):
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert out == f"PASS {suite}[q=2]  (skipped, needs q > 2)\nall 1 checks passed\n"
+
+
+def test_verify_over_budget_checks_are_skipped(capsys):
+    # scroll:5 at q = 3125: the iso pairs and the enumeration twin's points
+    # are 5 q^2 = 48828125 each, over the budget; the closed checks still run
+    code, out, _ = run(capsys, ["verify", "--ring", "scroll:5", "--q", "3125", "--format", "json"])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    skip = f"skipped, work estimate 48828125 over budget {WORK_BUDGET}"
+    assert checks["counts[q=3125] a_l vs enumeration"] == {
+        "name": "counts[q=3125] a_l vs enumeration", "ok": True, "detail": skip
+    }
+    assert checks["iso[q=3125]"]["detail"] == skip
+    assert checks["counts[q=3125] sum a_l = q^2"]["ok"]
+    assert checks["colength[q=3125] lambda/q^d near e_HK"]["detail"] == "lambda=29296875, gap=0"
+
+
+def test_work_budget_admits_scroll21_colength_at_729():
+    # 8503056 rows: verify runs it in seconds rather than skipping it
+    assert colength_rows(scroll21(), context_from_q(729)) == 8503056 <= WORK_BUDGET
+
+
+def test_verify_colength_over_budget_is_skipped(capsys):
+    # scroll21 at q = 2187 scans (4 q)^2 = 76527504 rows
+    argv = ["verify", "--ring", "scroll21", "--q", "2187", "--suite", "colength"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == (
+        f"PASS colength[q=2187]  (skipped, work estimate 76527504 over budget {WORK_BUDGET})\n"
+        "all 1 checks passed\n"
+    )
 
 
 def test_verify_unknown_suite(capsys):

@@ -4,15 +4,27 @@ from itertools import product
 import pytest
 
 from frobcm.arith import Polynomial
+from frobcm.errors import AuditFailure
 from frobcm.mcm import scroll_syzygy_generators
 from frobcm.oracle import (
+    _lambda_scroll,
+    _lambda_scroll21,
+    _lambda_veronese2,
+    colength_rows,
     lambda_frobenius_quotient,
     min_gens_pushforward,
     verify_scroll_syzygy,
     verify_veronese_sequences,
 )
 from frobcm.pushforward import ROUTE_CLASSES, decompose
-from frobcm.rings import FrobeniusContext, context_from_q, scroll, scroll21, veronese2
+from frobcm.rings import (
+    FrobeniusContext,
+    context_from_q,
+    parse_ring,
+    scroll,
+    scroll21,
+    veronese2,
+)
 
 Q3 = FrobeniusContext(3, 1)
 
@@ -45,17 +57,150 @@ def test_lambda_pinned_regressions():
 def test_lambda_matches_direct_enumeration():
     # twin with generic predicates instead of the specialized loops
     for family in (scroll(2), scroll(3), scroll21(), veronese2()):
-        q = 3
-        ctx = Q3
-        bound = 2 * q * max(c for g in family.generators() for c in g)
-        n = family.ambient_vars
-        count = 0
-        for point in product(range(bound), repeat=n):
-            if family.contains(point) and not family.frobenius_power_contains(
-                point, ctx
-            ):
+        for q in (3, 4, 5, 7, 8, 9):
+            if family == veronese2() and q % 2 == 0:
+                continue  # veronese2 needs odd characteristic
+            ctx = context_from_q(q)
+            bound = 2 * q * max(c for g in family.generators() for c in g)
+            n = family.ambient_vars
+            count = 0
+            for point in product(range(bound), repeat=n):
+                if family.contains(point) and not family.frobenius_power_contains(
+                    point, ctx
+                ):
+                    count += 1
+            assert lambda_frobenius_quotient(family, ctx).colength == count
+
+
+# Point-by-point stepping twins of the row kernels: each visits every member
+# of the box and tests the kernel's coverage conditions on it.
+def stepping_scroll(delta, q, bound, band):
+    count = 0
+    for i in range(bound):
+        start = (-i) % delta
+        cap_i = min(delta, i // q)
+        for j in range(start, bound, delta):
+            if cap_i + min(delta, j // q) >= delta:
+                continue
+            if i >= band or j >= band:
+                raise AuditFailure("scroll colength box audit failed")
+            count += 1
+    return count
+
+
+def stepping_scroll21(q, bound, band):
+    q2 = 2 * q
+    count = 0
+    for i in range(bound):
+        for j in range(bound):
+            top = min(i + j, bound - 1)
+            for k in range((i + j) % 2, top + 1, 2):
+                s = i + j - k
+                if (
+                    (i >= q2 and s >= q2)
+                    or (i >= q and j >= q and s >= q2)
+                    or (j >= q2 and s >= q2)
+                    or (i >= q and k >= q)
+                    or (j >= q and k >= q)
+                ):
+                    continue
+                if i >= band or j >= band or k >= band:
+                    raise AuditFailure("scroll21 colength box audit failed")
                 count += 1
-        assert lambda_frobenius_quotient(family, ctx).colength == count
+    return count
+
+
+def stepping_veronese2(q, bound, band):
+    q2 = 2 * q
+    count = 0
+    for i in range(bound):
+        for j in range(bound):
+            for k in range((i + j) % 2, bound, 2):
+                big = (i >= q) + (j >= q) + (k >= q)
+                if big >= 2 or i >= q2 or j >= q2 or k >= q2:
+                    continue
+                if i >= band or j >= band or k >= band:
+                    raise AuditFailure("veronese2 colength box audit failed")
+                count += 1
+    return count
+
+
+def count_or_audit(kernel, *args):
+    try:
+        return kernel(*args)
+    except AuditFailure:
+        return "audit"
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27))
+def test_row_kernels_match_stepping_twins(q):
+    # the box of lambda_frobenius_quotient, plus undersized boxes where the
+    # audits must fire at the same places
+    for delta in range(2, 11):
+        for bound in (2 * q * delta, delta * q, (delta + 1) * q):
+            args = (delta, q, bound, bound - q)
+            assert count_or_audit(_lambda_scroll, *args) == count_or_audit(
+                stepping_scroll, *args
+            )
+    for bound, band in ((4 * q, 3 * q), (3 * q, 2 * q), (2 * q, q), (3 * q, 3 * q - 1)):
+        for row, step in ((_lambda_scroll21, stepping_scroll21), (_lambda_veronese2, stepping_veronese2)):
+            assert count_or_audit(row, q, bound, band) == count_or_audit(step, q, bound, band)
+
+
+def test_undersized_boxes_raise():
+    for q in (3, 5, 9, 27):
+        # x^(2q) z^2 is outside m^[q] and reaches the layer at i = 2q, so
+        # scroll21's audit rejects [0, 3q)^3
+        for kernel in (_lambda_scroll21, stepping_scroll21):
+            with pytest.raises(AuditFailure):
+                kernel(q, 3 * q, 2 * q)
+        # x^q is outside m^[q] and lies in veronese2's layer [q, 2q)
+        for kernel in (_lambda_veronese2, stepping_veronese2):
+            with pytest.raises(AuditFailure):
+                kernel(q, 2 * q, q)
+        # the scroll box [0, delta q)^2 is a q-layer short
+        for delta in (2, 5):
+            for kernel in (_lambda_scroll, stepping_scroll):
+                with pytest.raises(AuditFailure):
+                    kernel(delta, q, delta * q, (delta - 1) * q)
+
+
+def test_veronese2_three_q_box_keeps_the_count():
+    # [0, 3q)^3 already holds every uncovered point of veronese2
+    for q in (3, 5, 9, 25, 27):
+        full = lambda_frobenius_quotient(veronese2(), context_from_q(q)).colength
+        assert _lambda_veronese2(q, 3 * q, 2 * q) == full
+    assert _lambda_veronese2(49, 3 * 49, 2 * 49) == 235297
+
+
+# Written from the point-by-point stepping loops that preceded the row kernels.
+PINNED_COLENGTHS = {
+    "scroll:2": (937, 1093, 3601, 9841),
+    "scroll:3": (1249, 1458, 4801, 13122),
+    "scroll:4": (1561, 1823, 6001, 16401),
+    "scroll:5": (1875, 2187, 7204, 19681),
+    "scroll:6": (2185, 2553, 8401, 22965),
+    "scroll:7": (2503, 2918, 9604, 26247),
+    "scroll:8": (2809, 3283, 10801, 29521),
+    "scroll:9": (3130, 3645, 12010, 32805),
+    "scroll:10": (3445, 4017, 13209, 36081),
+    "scroll21": (27259, 34347, 205573, 929181),
+    "veronese2": (31249, 39365, 235297, 1062881),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_COLENGTHS))
+def test_lambda_pinned_at_large_q(label):
+    family = parse_ring(label)
+    for q, expected in zip((25, 27, 49, 81), PINNED_COLENGTHS[label]):
+        assert lambda_frobenius_quotient(family, context_from_q(q)).colength == expected
+
+
+def test_colength_rows():
+    # one row per point of the box minus its last coordinate
+    assert colength_rows(scroll(5), context_from_q(3125)) == 2 * 3125 * 5
+    assert colength_rows(scroll21(), context_from_q(729)) == (4 * 729) ** 2
+    assert colength_rows(veronese2(), context_from_q(49)) == (4 * 49) ** 2
 
 
 def test_lambda_convergence_bound():

@@ -430,6 +430,46 @@ def test_verify_summand_iso_scroll():
         verify_summand_iso_scroll(2, Q3, 0, (3, 1))  # i outside P(0)
 
 
+def uncached_summand_iso_scroll(delta, q, l, i, j, steps=8):
+    """The monomial count of verify_summand_iso_scroll, run at (i, j) itself."""
+    for k in range(steps):
+        expected = k * delta + l + 1
+        found = 0
+        for t in range(-(l + 2), k * delta + 3):
+            a = i + t * q
+            b = j + (k * delta - t) * q
+            if a < 0 or b < 0:
+                continue
+            for m in range(l + 1):
+                s = (t + m, k * delta - t - m)
+                if s[0] >= 0 and s[1] >= 0 and (s[0] + s[1]) % delta == 0:
+                    found += 1
+                    break
+        if found != expected:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("delta", range(2, 11))
+def test_verify_summand_iso_scroll_matches_uncached_twin(delta):
+    for q in PRIME_POWERS_TO_27:
+        if q <= delta:
+            continue
+        ctx = context_from_q(q)
+        for l in range(delta):
+            for i in range(l * q, (l + 1) * q):
+                for j in range((-i) % delta, q, delta):
+                    assert verify_summand_iso_scroll(delta, ctx, l, (i, j)) == (
+                        uncached_summand_iso_scroll(delta, q, l, i, j)
+                    )
+    # fewer steps is a different case, not a stale cache entry
+    i = 11 + (-11) % delta
+    for steps in (1, 3):
+        assert verify_summand_iso_scroll(delta, context_from_q(11), 1, (i, 0), steps) == (
+            uncached_summand_iso_scroll(delta, 11, 1, i, 0, steps)
+        )
+
+
 def test_verify_relations_scroll21():
     assert verify_relations_scroll21(Q3, (4, 1, 1))
     assert verify_relations_scroll21(Q3, (5, 1, 0))
