@@ -359,8 +359,7 @@ def verify_summand_iso_scroll(
 
 @lru_cache(maxsize=None)
 def _iso_dimensions_match(delta: int, l: int, i_q: int, j_q: int, steps: int) -> bool:
-    # The monomial count sees (i, j) only through i_q = i // q and
-    # j_q = j // q: a = i + t q >= 0 exactly when t >= -i_q, and
+    # a = i + t q >= 0 exactly when t >= -i_q, and
     # b = j + (k delta - t) q >= 0 exactly when t <= k delta + j_q.
     for k in range(steps):
         expected = k * delta + l + 1
