@@ -158,7 +158,8 @@ def test_undersized_boxes_raise():
         for kernel in (_lambda_veronese2, stepping_veronese2):
             with pytest.raises(AuditFailure):
                 kernel(q, 2 * q, q)
-        # the scroll box [0, delta q)^2 is a q-layer short
+        # the scroll box [0, delta q)^2 is too small: points outside m^[q]
+        # reach its outer q-layer
         for delta in (2, 5):
             for kernel in (_lambda_scroll, stepping_scroll):
                 with pytest.raises(AuditFailure):
@@ -199,7 +200,6 @@ def test_lambda_pinned_at_large_q(label):
 def test_colength_rows():
     # one row per point of the box minus its last coordinate
     assert colength_rows(scroll(5), context_from_q(3125)) == 2 * 3125 * 5
-    assert colength_rows(scroll21(), context_from_q(729)) == (4 * 729) ** 2
     assert colength_rows(veronese2(), context_from_q(49)) == (4 * 49) ** 2
 
 

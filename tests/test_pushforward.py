@@ -13,6 +13,7 @@ from frobcm.mcm import class_tag_for_mu
 from frobcm.pushforward import (
     ROUTE_CLASSES,
     ROUTE_PAPER,
+    _iso_dimensions_match,
     _residue_class_multiplicities,
     class_minimal_generators,
     decompose,
@@ -462,6 +463,11 @@ def test_verify_summand_iso_scroll_matches_uncached_twin(delta):
                     assert verify_summand_iso_scroll(delta, ctx, l, (i, j)) == (
                         uncached_summand_iso_scroll(delta, q, l, i, j)
                     )
+    # the cached count does see i // q: one box to the left of P(l) loses
+    # the monomials with t = -l, so the dimensions no longer match
+    for l in range(1, delta):
+        assert not _iso_dimensions_match(delta, l, l - 1, 0, 8)
+        assert not uncached_summand_iso_scroll(delta, 11, l, (l - 1) * 11, 0)
     # fewer steps is a different case, not a stale cache entry
     i = 11 + (-11) % delta
     for steps in (1, 3):
