@@ -117,21 +117,6 @@ class Polynomial:
             value = value * x + c
         return value
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for n, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if n == 0:
-                parts.append(str(c))
-            else:
-                coeff = "" if c == 1 else ("-" if c == -1 else str(c))
-                power = "t" if n == 1 else f"t^{n}"
-                parts.append(f"{coeff}{power}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def _divide_one_minus_power(poly: Polynomial, base: int) -> Polynomial | None:
     """Quotient of poly by (1 - t**base), or None when not divisible."""
@@ -250,7 +235,3 @@ class HilbertSeries:
     def multiplicity(self) -> int:
         """Numerator evaluated at 1: the leading-order density of the series."""
         return self.numerator(1)
-
-    def __str__(self) -> str:
-        t_power = "t" if self.base == 1 else f"t^{self.base}"
-        return f"({self.numerator})/(1 - {t_power})^{self.pole_order}"

@@ -73,11 +73,7 @@ def fbetti_pushforward(
     route: str | None = None,
 ) -> int:
     """Exact i-th Betti number of the q-th root module, via the decomposition."""
-    dec = pushforward.decompose(family, ctx, route)
-    return sum(
-        count * mcm.class_by_tag(family, tag).betti(i)
-        for tag, count in dec.multiplicities
-    )
+    return pushforward.decompose(family, ctx, route).total_betti(i)
 
 
 @dataclass(frozen=True)
@@ -90,11 +86,9 @@ class FiniteQEstimates:
     canonical_est: Fraction | None  # canonical-class density, where tracked
 
     def fbetti_est(self, i: int) -> Fraction:
-        total = sum(
-            count * mcm.class_by_tag(self.family, tag).betti(i)
-            for tag, count in self.decomposition.multiplicities
+        return Fraction(
+            self.decomposition.total_betti(i), self.ctx.q ** self.family.krull_dim
         )
-        return Fraction(total, self.ctx.q ** self.family.krull_dim)
 
 
 def finite_q_estimates(

@@ -86,15 +86,15 @@ class Decomposition:
             for tag, count in self.multiplicities
         )
 
-    def total_min_generators(self) -> int:
+    def total_betti(self, i: int) -> int:
+        """Sum of multiplicity times beta_i over the summands; i = 0 sums mu."""
         return sum(
-            count * mcm.class_by_tag(self.family, tag).mu
+            count * mcm.class_by_tag(self.family, tag).betti(i)
             for tag, count in self.multiplicities
         )
 
-    def __str__(self) -> str:
-        body = ", ".join(f"{tag}: {count}" for tag, count in self.multiplicities)
-        return f"{self.family.label} q={self.ctx.q} [{self.route}] {{{body}}}"
+    def total_min_generators(self) -> int:
+        return self.total_betti(0)
 
 
 def _index_set_counts(family: RingFamily, q: int) -> dict[str, int]:
@@ -157,21 +157,6 @@ def scroll21_index_sets(ctx: FrobeniusContext):
         if (i + j + k) % 2 == 0 and i + j - k >= 2 * q
     )
     return p1, p2, p3
-
-
-def scroll21_p_class(ctx: FrobeniusContext, ijk: tuple[int, int, int]) -> int:
-    """Which index set a triple belongs to: 1, 2, 3, or 0 for none."""
-    q = ctx.q
-    i, j, k = ijk
-    if (i + j + k) % 2 != 0 or not 0 <= j < q or not 0 <= k < q:
-        return 0
-    if 0 <= i < q:
-        return 1 if i + j - k >= 0 else 0
-    if q <= i < 2 * q:
-        if i + j - k >= 2 * q:
-            return 3
-        return 2  # 0 <= i + j - k is automatic since i >= q > k
-    return 0
 
 
 def _paper_refusal(family: RingFamily, ctx: FrobeniusContext) -> str | None:
@@ -343,8 +328,9 @@ def verify_summand_iso_scroll(
     The class generated by the fractional monomials with numerators
     (i - m q, j + m q), m = 0..l, must have dimension k delta + l + 1 at its
     k-th occupied degree.  Dimensions are computed by counting monomials.
-    The count sees (i, j) only through i // q and j // q, so each distinct
-    case is counted once and cached; every class is still validated.
+    The count sees (i, j) only through i // q and j // q, and every class of
+    P(l) has i // q = l and j // q = 0, so all classes of P(l) share one
+    verdict.
     """
     q = ctx.q
     if q <= delta:
@@ -357,7 +343,6 @@ def verify_summand_iso_scroll(
     return _iso_dimensions_match(delta, l, i // q, j // q, steps)
 
 
-@lru_cache(maxsize=None)
 def _iso_dimensions_match(delta: int, l: int, i_q: int, j_q: int, steps: int) -> bool:
     # a = i + t q >= 0 exactly when t >= -i_q, and
     # b = j + (k delta - t) q >= 0 exactly when t <= k delta + j_q.
@@ -377,31 +362,3 @@ def _iso_dimensions_match(delta: int, l: int, i_q: int, j_q: int, steps: int) ->
         if found != expected:
             return False
     return True
-
-
-def verify_relations_scroll21(
-    ctx: FrobeniusContext, ijk: tuple[int, int, int]
-) -> bool:
-    """Check the displayed relations among the generators of a non-free class.
-
-    For P(2) indices the xy-multiple of the first generator equals the
-    x^2-multiple of the second; P(3) indices additionally satisfy the xz
-    against x^2 relation.  Both are identities of exponent vectors; their
-    existence shows the class is not free.
-    """
-    q = ctx.q
-    which = scroll21_p_class(ctx, ijk)
-    if which == 1:
-        raise ValueError(f"{ijk} indexes a free class; it carries no relation")
-    if which == 0:
-        raise ValueError(f"{ijk} is not in the index sets at q={q}")
-    i, j, k = ijk
-    contains = scroll21().contains
-    # The relations, as exponent vectors: g1 + q (1, 1, 0) = g2 + q (2, 0, 0)
-    # with g2 = (i - q, j + q, k), and on P(3) g1 + q (1, 0, 1) = g3 + q (2, 0, 0)
-    # with g3 = (i - q, j, k + q).  Both hold identically, so what is left to
-    # check is that the generators lie in the ring.
-    gens = [ijk, (i - q, j + q, k)]
-    if which == 3:
-        gens.append((i - q, j, k + q))
-    return all(contains(g) for g in gens)

@@ -180,9 +180,6 @@ class RingFamily:
     def coprime_torsion(self, ctx: FrobeniusContext) -> bool:
         return gcd(ctx.p, self.torsion_index) == 1
 
-    def __str__(self) -> str:
-        return self.label
-
     def __reduce__(self):
         return parse_ring, (self.label,)
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from frobcm import pushforward
 from frobcm.cli import (
     WORK_BUDGET,
     _default_families,
@@ -137,8 +140,9 @@ def test_verify_skips_scroll21_index_suites_at_q2(capsys):
 
 
 def test_verify_over_budget_checks_are_skipped(capsys):
-    # scroll:5 at q = 3125: the iso pairs and the enumeration twin's points
-    # are 5 q^2 = 48828125 each, over the budget; the closed checks still run
+    # scroll:5 at q = 3125: the enumeration twin's points are 5 q^2 =
+    # 48828125, over the budget; the closed checks and the iso check, one
+    # monomial count per P(l), still run
     code, out, _ = run(capsys, ["verify", "--ring", "scroll:5", "--q", "3125", "--format", "json"])
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -146,9 +150,65 @@ def test_verify_over_budget_checks_are_skipped(capsys):
     assert checks["counts[q=3125] a_l vs enumeration"] == {
         "name": "counts[q=3125] a_l vs enumeration", "ok": True, "detail": skip
     }
-    assert checks["iso[q=3125]"]["detail"] == skip
+    assert checks["iso[q=3125] graded dimensions"] == {
+        "name": "iso[q=3125] graded dimensions", "ok": True, "detail": "9765625 classes checked"
+    }
     assert checks["counts[q=3125] sum a_l = q^2"]["ok"]
     assert checks["colength[q=3125] lambda/q^d near e_HK"]["detail"] == "lambda=29296875, gap=0"
+
+
+@pytest.mark.parametrize("delta", (2, 3, 6))
+def test_verify_iso_checks_one_class_per_l(monkeypatch, delta):
+    q = 7
+    real = pushforward.verify_summand_iso_scroll
+    calls = []
+
+    def recording(delta_, ctx_, l, ij, steps=8):
+        calls.append((l, ij))
+        return real(delta_, ctx_, l, ij, steps)
+
+    monkeypatch.setattr(pushforward, "verify_summand_iso_scroll", recording)
+    record = build_verify_record(scroll(delta), [q], "iso")
+    assert record["checks"] == [
+        {"name": "iso[q=7] graded dimensions", "ok": True, "detail": "49 classes checked"}
+    ]
+    assert [l for l, _ in calls] == list(range(delta))
+    for l, (i, j) in calls:
+        assert l * q <= i < (l + 1) * q and 0 <= j < q and (i + j) % delta == 0
+
+
+@pytest.mark.parametrize("failing", range(3))
+def test_verify_iso_fails_when_one_l_fails(monkeypatch, failing):
+    monkeypatch.setattr(
+        pushforward,
+        "verify_summand_iso_scroll",
+        lambda delta, ctx, l, ij, steps=8: l != failing,
+    )
+    record = build_verify_record(scroll(3), [5], "iso")
+    assert record["checks"] == [
+        {"name": "iso[q=5] graded dimensions", "ok": False, "detail": "25 classes checked"}
+    ]
+    assert record["ok"] is False
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13, 25, 27))
+def test_verify_relations_fail_on_a_p2_triple_in_p3(monkeypatch, q):
+    p1, p2, p3 = pushforward.scroll21_index_sets(context_from_q(q))
+    # g3 = (i - q, j, k + q) has i + j - k - 2q < 0 on every P(2) triple, so
+    # it leaves the ring whichever triple is moved
+    assert not any(scroll21().contains((i - q, j, k + q)) for i, j, k in p2)
+    stray = min(p2)
+    monkeypatch.setattr(
+        pushforward, "scroll21_index_sets", lambda ctx: (p1, p2, p3 | {stray})
+    )
+    record = build_verify_record(scroll21(), [q], "relations")
+    assert record["checks"] == [
+        {
+            "name": f"relations[q={q}] generator relations",
+            "ok": False,
+            "detail": f"{len(p2) + len(p3) + 1} indices checked",
+        }
+    ]
 
 
 def test_work_budget_admits_scroll21_colength_at_729():
@@ -172,6 +232,15 @@ def test_verify_unknown_suite(capsys):
         capsys, ["verify", "--ring", "scroll:4", "--q", "5", "--suite", "nope"]
     )
     assert code == 2
+
+
+def test_verify_non_integer_q(capsys):
+    code, out, err = run(capsys, ["verify", "--ring", "scroll:3", "--q", "x"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "frobcm verify: error: argument --q: expected comma separated prime powers, got 'x'"
+    )
 
 
 def test_verify_bad_ring(capsys):

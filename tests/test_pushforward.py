@@ -21,9 +21,7 @@ from frobcm.pushforward import (
     legal_routes,
     scroll21_index_counts,
     scroll21_index_sets,
-    scroll21_p_class,
     scroll_index_counts,
-    verify_relations_scroll21,
     verify_summand_iso_scroll,
 )
 from frobcm.rings import (
@@ -130,16 +128,6 @@ def test_scroll21_index_counts():
         sets = scroll21_index_sets(ctx)
         assert counts == tuple(len(s) for s in sets)
         assert all(len(a & b) == 0 for a, b in ((sets[0], sets[1]), (sets[0], sets[2]), (sets[1], sets[2])))
-
-
-def test_scroll21_p_class_matches_sets():
-    for q in (3, 5):
-        ctx = context_from_q(q)
-        sets = scroll21_index_sets(ctx)
-        for which, bucket in enumerate(sets, start=1):
-            for ijk in bucket:
-                assert scroll21_p_class(ctx, ijk) == which
-        assert scroll21_p_class(ctx, (0, 0, 2)) == 0
 
 
 def test_veronese_class_counts():
@@ -431,8 +419,9 @@ def test_verify_summand_iso_scroll():
         verify_summand_iso_scroll(2, Q3, 0, (3, 1))  # i outside P(0)
 
 
-def uncached_summand_iso_scroll(delta, q, l, i, j, steps=8):
-    """The monomial count of verify_summand_iso_scroll, run at (i, j) itself."""
+def unreduced_summand_iso_scroll(delta, q, l, i, j, steps=8):
+    """The monomial count of verify_summand_iso_scroll, run at (i, j) itself
+    rather than at (i // q, j // q)."""
     for k in range(steps):
         expected = k * delta + l + 1
         found = 0
@@ -461,28 +450,16 @@ def test_verify_summand_iso_scroll_matches_uncached_twin(delta):
             for i in range(l * q, (l + 1) * q):
                 for j in range((-i) % delta, q, delta):
                     assert verify_summand_iso_scroll(delta, ctx, l, (i, j)) == (
-                        uncached_summand_iso_scroll(delta, q, l, i, j)
+                        unreduced_summand_iso_scroll(delta, q, l, i, j)
                     )
-    # the cached count does see i // q: one box to the left of P(l) loses
+    # the reduced count does see i // q: one box to the left of P(l) loses
     # the monomials with t = -l, so the dimensions no longer match
     for l in range(1, delta):
         assert not _iso_dimensions_match(delta, l, l - 1, 0, 8)
-        assert not uncached_summand_iso_scroll(delta, 11, l, (l - 1) * 11, 0)
-    # fewer steps is a different case, not a stale cache entry
+        assert not unreduced_summand_iso_scroll(delta, 11, l, (l - 1) * 11, 0)
+    # the reduction holds at fewer steps too
     i = 11 + (-11) % delta
     for steps in (1, 3):
         assert verify_summand_iso_scroll(delta, context_from_q(11), 1, (i, 0), steps) == (
-            uncached_summand_iso_scroll(delta, 11, 1, i, 0, steps)
+            unreduced_summand_iso_scroll(delta, 11, 1, i, 0, steps)
         )
-
-
-def test_verify_relations_scroll21():
-    assert verify_relations_scroll21(Q3, (4, 1, 1))
-    assert verify_relations_scroll21(Q3, (5, 1, 0))
-    _, p2, p3 = scroll21_index_sets(Q3)
-    for ijk in p2 | p3:
-        assert verify_relations_scroll21(Q3, ijk)
-    with pytest.raises(ValueError):
-        verify_relations_scroll21(Q3, (0, 0, 0))
-    with pytest.raises(ValueError):
-        verify_relations_scroll21(Q3, (0, 0, 2))
