@@ -10,27 +10,76 @@ supported on one congruence class.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
+from operator import attrgetter
 
 __all__ = ["Polynomial", "HilbertSeries"]
 
 
-@dataclass(frozen=True)
-class Polynomial:
+# Sets one field of a record under construction, past its frozen __setattr__.
+_setfield = object.__setattr__
+
+
+class _Record:
+    """Base of the frozen value records.
+
+    A plain class rather than a frozen dataclass: importing ``dataclasses``
+    and generating its methods was most of the package's import time, which
+    every CLI process pays at start-up.  A subclass lists its fields in order
+    in ``__slots__`` and sets each in its own ``__init__`` with
+    ``_setfield``.  Equality, hashing and repr read the fields named in
+    ``_compared``, all of them unless the subclass names fewer, and a record
+    pickles by calling its class on those fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        compared = cls.__dict__.get("_compared", cls.__slots__)
+        key = attrgetter(*compared)
+        if len(compared) == 1:  # attrgetter gives the bare value for one name
+            key = lambda self, one=key: (one(self),)  # noqa: E731
+        cls._compared = compared
+        cls._key = staticmethod(key)
+        cls.__match_args__ = cls.__slots__  # as a dataclass sets it
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
+
+
+class Polynomial(_Record):
     """Integer polynomial in one variable; ``coefficients[n]`` is the t^n term."""
 
-    coefficients: tuple[int, ...] = ()
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients: tuple[int, ...] = ()) -> None:
+        coeffs = tuple(coefficients)
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient required, got {c!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        _setfield(self, "coefficients", coeffs)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -132,8 +181,7 @@ def _divide_one_minus_power(poly: Polynomial, base: int) -> Polynomial | None:
     return Polynomial(tuple(quotient[: max(0, len(coeffs) - base)]))
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(_Record):
     """Formal series numerator / (1 - t**base)**pole_order.
 
     Canonical form: the numerator is not divisible by (1 - t**base) unless it
@@ -142,16 +190,14 @@ class HilbertSeries:
     expanded denominator.
     """
 
-    numerator: Polynomial
-    pole_order: int
-    base: int = 1
+    __slots__ = ("numerator", "pole_order", "base")
 
-    def __post_init__(self) -> None:
-        if self.pole_order < 0:
+    def __init__(self, numerator: Polynomial, pole_order: int, base: int = 1) -> None:
+        if pole_order < 0:
             raise ValueError("pole order must be nonnegative")
-        if self.base < 1:
+        if base < 1:
             raise ValueError("base must be at least 1")
-        num, pole, base = self.numerator, self.pole_order, self.base
+        num, pole = numerator, pole_order
         if num.is_zero:
             num, pole, base = Polynomial.zero(), 0, 1
         else:
@@ -162,9 +208,9 @@ class HilbertSeries:
                 num, pole = reduced, pole - 1
             if pole == 0:
                 base = 1
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "pole_order", pole)
-        object.__setattr__(self, "base", base)
+        _setfield(self, "numerator", num)
+        _setfield(self, "pole_order", pole)
+        _setfield(self, "base", base)
 
     def coefficient(self, n: int) -> int:
         """dim of the degree-n piece, by formal expansion of the denominator."""

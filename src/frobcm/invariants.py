@@ -9,10 +9,10 @@ data by q**dim and converge to the limits inside explicit 4/q envelopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mcm, pushforward
+from .arith import _Record, _setfield
 from .rings import FrobeniusContext, RingFamily, context_from_q
 
 _MAX_BETTI = 4  # convergence_check covers beta_1..beta_4
@@ -31,11 +31,13 @@ def _density_sum(family: RingFamily, i: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    family: RingFamily
-    s: Fraction
-    ehk: Fraction
+class InvariantReport(_Record):
+    __slots__ = ("family", "s", "ehk")
+
+    def __init__(self, family: RingFamily, s: Fraction, ehk: Fraction) -> None:
+        _setfield(self, "family", family)
+        _setfield(self, "s", s)
+        _setfield(self, "ehk", ehk)
 
     def fbetti(self, i: int) -> Fraction:
         """i-th Frobenius Betti number; i = 0 is the Hilbert-Kunz multiplicity."""
@@ -76,14 +78,24 @@ def fbetti_pushforward(
     return pushforward.decompose(family, ctx, route).total_betti(i)
 
 
-@dataclass(frozen=True)
-class FiniteQEstimates:
-    family: RingFamily
-    ctx: FrobeniusContext
-    decomposition: pushforward.Decomposition
-    s_est: Fraction
-    ehk_est: Fraction
-    canonical_est: Fraction | None  # canonical-class density, where tracked
+class FiniteQEstimates(_Record):
+    __slots__ = ("family", "ctx", "decomposition", "s_est", "ehk_est", "canonical_est")
+
+    def __init__(
+        self,
+        family: RingFamily,
+        ctx: FrobeniusContext,
+        decomposition: pushforward.Decomposition,
+        s_est: Fraction,
+        ehk_est: Fraction,
+        canonical_est: Fraction | None,  # canonical-class density, where tracked
+    ) -> None:
+        _setfield(self, "family", family)
+        _setfield(self, "ctx", ctx)
+        _setfield(self, "decomposition", decomposition)
+        _setfield(self, "s_est", s_est)
+        _setfield(self, "ehk_est", ehk_est)
+        _setfield(self, "canonical_est", canonical_est)
 
     def fbetti_est(self, i: int) -> Fraction:
         return Fraction(
@@ -104,14 +116,18 @@ def finite_q_estimates(
     return FiniteQEstimates(family, ctx, dec, s_est, ehk_est, canonical)
 
 
-@dataclass(frozen=True)
-class ConvergenceCheck:
-    q: int
-    name: str
-    estimate: Fraction
-    limit: Fraction
-    bound: Fraction
-    ok: bool
+class ConvergenceCheck(_Record):
+    __slots__ = ("q", "name", "estimate", "limit", "bound", "ok")
+
+    def __init__(
+        self, q: int, name: str, estimate: Fraction, limit: Fraction, bound: Fraction, ok: bool
+    ) -> None:
+        _setfield(self, "q", q)
+        _setfield(self, "name", name)
+        _setfield(self, "estimate", estimate)
+        _setfield(self, "limit", limit)
+        _setfield(self, "bound", bound)
+        _setfield(self, "ok", ok)
 
     @property
     def gap(self) -> Fraction:
@@ -125,11 +141,15 @@ class ConvergenceCheck:
         )
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    family: RingFamily
-    limits: InvariantReport
-    checks: tuple[ConvergenceCheck, ...]
+class ConvergenceReport(_Record):
+    __slots__ = ("family", "limits", "checks")
+
+    def __init__(
+        self, family: RingFamily, limits: InvariantReport, checks: tuple[ConvergenceCheck, ...]
+    ) -> None:
+        _setfield(self, "family", family)
+        _setfield(self, "limits", limits)
+        _setfield(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

@@ -11,10 +11,9 @@ families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import HilbertSeries
+from .arith import HilbertSeries, _Record, _setfield
 from .rings import RingFamily
 
 
@@ -22,13 +21,16 @@ class UnsupportedClassError(ValueError):
     """Raised for catalog data the class genuinely does not carry."""
 
 
-@dataclass(frozen=True)
-class SummandClass:
-    family: RingFamily
-    tag: str
-    mu: int
-    rank: int
-    beta1: int  # first Betti number; beta_i grows by family.betti_ratio after it
+class SummandClass(_Record):
+    # beta1 is the first Betti number; beta_i grows by family.betti_ratio after it
+    __slots__ = ("family", "tag", "mu", "rank", "beta1")
+
+    def __init__(self, family: RingFamily, tag: str, mu: int, rank: int, beta1: int) -> None:
+        _setfield(self, "family", family)
+        _setfield(self, "tag", tag)
+        _setfield(self, "mu", mu)
+        _setfield(self, "rank", rank)
+        _setfield(self, "beta1", beta1)
 
     def betti(self, i: int) -> int:
         """i-th Betti number from the closed forms."""
@@ -99,14 +101,22 @@ def module_hilbert_series(cls: SummandClass) -> HilbertSeries:
     return series
 
 
-@dataclass(frozen=True)
-class ScrollSyzygy:
+class ScrollSyzygy(_Record):
     """One first-syzygy generator x^a e_m - x^b e_(m+1), with 1-based m."""
 
-    plus_monomial: tuple[int, int]
-    plus_basis: int
-    minus_monomial: tuple[int, int]
-    minus_basis: int
+    __slots__ = ("plus_monomial", "plus_basis", "minus_monomial", "minus_basis")
+
+    def __init__(
+        self,
+        plus_monomial: tuple[int, int],
+        plus_basis: int,
+        minus_monomial: tuple[int, int],
+        minus_basis: int,
+    ) -> None:
+        _setfield(self, "plus_monomial", plus_monomial)
+        _setfield(self, "plus_basis", plus_basis)
+        _setfield(self, "minus_monomial", minus_monomial)
+        _setfield(self, "minus_basis", minus_basis)
 
 
 def scroll_syzygy_generators(delta: int, l: int) -> tuple[ScrollSyzygy, ...]:

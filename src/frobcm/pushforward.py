@@ -30,10 +30,10 @@ three generators, so its BorC count has density 1/6 against the index sets'
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import mcm
+from .arith import _Record, _setfield
 from .errors import AuditFailure
 from .rings import FrobeniusContext, RingFamily, scroll, scroll21
 
@@ -43,8 +43,7 @@ ROUTE_CLASSES = "residue_classes"
 ROUTES = (ROUTE_PAPER, ROUTE_CLASSES)
 
 
-@dataclass(frozen=True)
-class ClassModule:
+class ClassModule(_Record):
     """A residue-class submodule of the q-th root module.
 
     ``generators`` are the exponent numerators of the fractional monomials
@@ -53,22 +52,39 @@ class ClassModule:
     another inside the class.
     """
 
-    family: RingFamily
-    ctx: FrobeniusContext
-    residue: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ("family", "ctx", "residue", "generators")
+
+    def __init__(
+        self,
+        family: RingFamily,
+        ctx: FrobeniusContext,
+        residue: tuple[int, ...],
+        generators: tuple[tuple[int, ...], ...],
+    ) -> None:
+        _setfield(self, "family", family)
+        _setfield(self, "ctx", ctx)
+        _setfield(self, "residue", residue)
+        _setfield(self, "generators", generators)
 
     @property
     def mu(self) -> int:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    family: RingFamily
-    ctx: FrobeniusContext
-    route: str
-    multiplicities: tuple[tuple[str, int], ...]  # (tag, count), catalog order
+class Decomposition(_Record):
+    __slots__ = ("family", "ctx", "route", "multiplicities")
+
+    def __init__(
+        self,
+        family: RingFamily,
+        ctx: FrobeniusContext,
+        route: str,
+        multiplicities: tuple[tuple[str, int], ...],  # (tag, count), catalog order
+    ) -> None:
+        _setfield(self, "family", family)
+        _setfield(self, "ctx", ctx)
+        _setfield(self, "route", route)
+        _setfield(self, "multiplicities", multiplicities)
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.multiplicities)

@@ -20,13 +20,11 @@ Frobenius contexts bundle a prime p and an exponent e with q = p^e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable
 
-from .arith import HilbertSeries, Polynomial
+from .arith import HilbertSeries, Polynomial, _Record, _setfield
 from .lattice import count_congruence_box, count_parity_box3, count_parity_simplex3
 
 SCROLL = "scroll"
@@ -49,18 +47,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FrobeniusContext:
+class FrobeniusContext(_Record):
     """A Frobenius power level q = p^e.  e = 0 (q = 1) is the identity case."""
 
-    p: int
-    e: int
+    __slots__ = ("p", "e")
 
-    def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.e < 0:
-            raise ValueError(f"e must be nonnegative, got {self.e}")
+    def __init__(self, p: int, e: int) -> None:
+        # a float or bool would make q inexact or hide a wrong argument
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"p must be an integer, got {p!r}")
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"e must be an integer, got {e!r}")
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if e < 0:
+            raise ValueError(f"e must be nonnegative, got {e}")
+        _setfield(self, "p", p)
+        _setfield(self, "e", e)
+
+    # Contexts and families key every cache lookup, so both spell out the
+    # comparison the base would make through its generic field getter.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.e) == (other.p, other.e)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.e))
 
     @property
     def q(self) -> int:
@@ -87,52 +100,66 @@ def context_from_q(q: int) -> FrobeniusContext:
     return FrobeniusContext(p, e)
 
 
-def _described():
-    """A field of the family description: not compared, hashed or shown."""
-    return field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class RingFamily:
+class RingFamily(_Record):
     """One ring family.  Only the constructors fill the fields after
     ``delta``; equality, hashing and repr see (kind, delta) alone, so copies
     built apart share cache entries."""
 
-    kind: str
-    delta: int | None = None
-    label: str = _described()
-    ambient_vars: int = _described()
-    torsion_index: int = _described()  # the residue classes need p prime to it
-    gens: tuple[tuple[int, ...], ...] = _described()
-    member: Callable[[tuple[int, ...]], bool] = _described()  # on vectors >= 0
-    p2_refusal: str | None = _described()  # why p = 2 has no theory, if it has none
-    # Catalog rows (tag, mu, rank, beta_1), free class first, in reporting
-    # order; for i >= 1 every class has beta_i = beta_1 * betti_ratio^(i - 1).
-    classes: tuple[tuple[str, int, int, int], ...] = _described()
-    betti_ratio: int = _described()
-    # (tag, limiting multiplicity / q^dim) for the classes of positive density
-    densities: tuple[tuple[str, Fraction], ...] = _described()
-    s: Fraction = _described()
-    ehk: Fraction = _described()
-    fbetti: Callable[[int], Fraction] = _described()  # closed form for i >= 1
-    fbetti_text: str = _described()
-    canonical_tag: str | None = _described()
-    hilbert: tuple[tuple[str, HilbertSeries], ...] = _described()
-    # recurrences(betti, i) evaluates every Betti recurrence valid at index
-    # i, given betti(tag, i); all of them vanish when the catalog is right
-    recurrences: Callable = _described()
-    # class_key(q, residue) fixes the minimal generator pattern of a residue
-    # class within one (family, q), as the tests check up to q = 3^12;
-    # class_key_counts(q) maps each key to (residue count, lexicographically
-    # least residue), the residue meaningless where the count is 0.
-    class_key: Callable = _described()
-    class_key_counts: Callable[[int], dict] = _described()
-    # index_keys(q) maps the tag of each paper index set, in order, to the
-    # class keys whose residues the set counts, or raises ValueError at a q
-    # the sets do not cover; that refusal and index_p2_refusal are what
-    # pushforward.legal_routes reads for the index-set route
-    index_keys: Callable[[int], dict] = _described()
-    index_p2_refusal: str | None = _described()  # the index sets fail at p = 2
+    __slots__ = (
+        "kind",
+        "delta",
+        "label",
+        "ambient_vars",
+        "torsion_index",  # the residue classes need p prime to it
+        "gens",
+        "member",  # member(vec) on vectors >= 0
+        "p2_refusal",  # why p = 2 has no theory, if it has none
+        # Catalog rows (tag, mu, rank, beta_1), free class first, in reporting
+        # order; for i >= 1 every class has beta_i = beta_1 * betti_ratio^(i - 1).
+        "classes",
+        "betti_ratio",
+        # (tag, limiting multiplicity / q^dim) for the classes of positive density
+        "densities",
+        "s",
+        "ehk",
+        "fbetti",  # fbetti(i): closed form for i >= 1
+        "fbetti_text",
+        "canonical_tag",
+        "hilbert",  # (tag, HilbertSeries) rows
+        # recurrences(betti, i) evaluates every Betti recurrence valid at index
+        # i, given betti(tag, i); all of them vanish when the catalog is right
+        "recurrences",
+        # class_key(q, residue) fixes the minimal generator pattern of a residue
+        # class within one (family, q), as the tests check up to q = 3^12;
+        # class_key_counts(q) maps each key to (residue count, lexicographically
+        # least residue), the residue meaningless where the count is 0.
+        "class_key",
+        "class_key_counts",
+        # index_keys(q) maps the tag of each paper index set, in order, to the
+        # class keys whose residues the set counts, or raises ValueError at a q
+        # the sets do not cover; that refusal and index_p2_refusal are what
+        # pushforward.legal_routes reads for the index-set route
+        "index_keys",
+        "index_p2_refusal",  # the index sets fail at p = 2
+    )
+    _compared = ("kind", "delta")
+
+    def __init__(self, kind: str, delta: int | None = None, **description) -> None:
+        _setfield(self, "kind", kind)
+        _setfield(self, "delta", delta)
+        for name in self.__slots__[2:]:
+            _setfield(self, name, description.pop(name, None))
+        if description:
+            raise TypeError(f"RingFamily has no field {min(description)!r}")
+
+    # spelled out for the cache lookups, as in FrobeniusContext
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.delta) == (other.kind, other.delta)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.delta))
 
     @property
     def krull_dim(self) -> int:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import frobcm
 from frobcm import pushforward
 from frobcm.cli import (
     WORK_BUDGET,
@@ -300,3 +305,23 @@ def test_values_beyond_float_range_exit_cleanly(capsys):
     argv = ["decompose", "--ring", "scroll:10", "--p", "3", "--e", "2"]
     code, out, err = run(capsys, argv + ["--max-i", "400", "--format", "json"])
     assert (code, out, err) == (2, "", f"error: {value} has no float approximation\n")
+
+
+# The same one-liner runs against the installed package in CI.
+IMPORT_FOOTPRINT = (
+    "import sys; bare = set(sys.modules); import frobcm.cli; "
+    "heavy = {'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - bare); "
+    "sys.exit(f'import frobcm.cli added {sorted(heavy)}' if heavy else 0)"
+)
+
+
+def test_import_adds_no_code_generating_modules():
+    # every CLI process imports frobcm.cli at start-up; dataclasses and the
+    # modules it pulls in were most of that import's time.  The probe runs
+    # in a fresh interpreter and counts only what the import adds to the
+    # modules the interpreter already holds.
+    env = dict(os.environ, PYTHONPATH=str(Path(frobcm.__file__).parents[1]))
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT], env=env, capture_output=True, text=True
+    )
+    assert probe.returncode == 0, probe.stderr

@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 import random
 from itertools import product
@@ -6,8 +5,10 @@ from itertools import product
 import pytest
 
 from frobcm import pushforward
+from frobcm.arith import _Record
 from frobcm.rings import (
     FrobeniusContext,
+    RingFamily,
     context_from_q,
     parse_ring,
     scroll,
@@ -126,6 +127,37 @@ def test_context_family_compatibility():
         veronese2().validate_context(even)
 
 
+@pytest.mark.parametrize(
+    ("p", "e", "field"),
+    [(3, 2.0, "e"), (3, 1.5, "e"), (3.0, 2, "p"), (True, 1, "p"), (3, True, "e"), (3, "2", "e")],
+)
+def test_context_rejects_non_integers(p, e, field):
+    # a float e would make q = 9.0 and every multiplicity a float
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        FrobeniusContext(p, e)
+
+
+def test_spelled_out_comparisons_match_the_base():
+    # FrobeniusContext and RingFamily write out __eq__ and __hash__ for
+    # speed; they must say what the base says over their compared fields
+    pairs = [
+        (FrobeniusContext(3, 2), FrobeniusContext(3, 2), FrobeniusContext(3, 1)),
+        (FrobeniusContext(2, 5), FrobeniusContext(2, 5), FrobeniusContext(5, 2)),
+        (scroll(3), RingFamily("scroll", 3), RingFamily("scroll", 4)),
+        (RingFamily("scroll21"), RingFamily("scroll21"), RingFamily("veronese2")),
+    ]
+    for a, same, other in pairs:
+        assert hash(a) == _Record.__hash__(a) == hash(same)
+        assert (a == same, a == other) == (True, False)
+        assert (_Record.__eq__(a, same), _Record.__eq__(a, other)) == (True, False)
+
+
+def test_family_rejects_unknown_fields():
+    with pytest.raises(TypeError, match="no field 'colour'"):
+        RingFamily("scroll", 3, label="scroll:3", colour="red")
+    assert RingFamily("scroll", 3, label="scroll:3").label == "scroll:3"
+
+
 def test_context_from_q():
     assert context_from_q(27) == FrobeniusContext(3, 3)
     assert context_from_q(32) == FrobeniusContext(2, 5)
@@ -143,7 +175,8 @@ def test_family_identity_is_kind_and_delta():
     for text, family in (("scroll:3", scroll(3)), ("scroll21", scroll21()), ("veronese2", veronese2())):
         parsed = parse_ring(text)
         assert parsed == family and hash(parsed) == hash(family)
-        copy = dataclasses.replace(parsed)
+        description = {name: getattr(parsed, name) for name in RingFamily.__slots__[2:]}
+        copy = RingFamily(parsed.kind, parsed.delta, **description)
         assert copy is not parsed
         assert copy == family and hash(copy) == hash(family)
         assert repr(copy) == f"RingFamily(kind={family.kind!r}, delta={family.delta!r})"
