@@ -26,13 +26,33 @@ class _Record:
     A plain class rather than a frozen dataclass: importing ``dataclasses``
     and generating its methods was most of the package's import time, which
     every CLI process pays at start-up.  A subclass lists its fields in order
-    in ``__slots__`` and sets each in its own ``__init__`` with
-    ``_setfield``.  Equality, hashing and repr read the fields named in
+    in ``__slots__``; this ``__init__`` sets them from positional or keyword
+    arguments, every field required.  Only a record that normalises or
+    validates its values has its own ``__init__``, which ends by passing the
+    final values here.  Equality, hashing and repr read the fields named in
     ``_compared``, all of them unless the subclass names fewer, and a record
     pickles by calling its class on those fields.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named) -> None:
+        fields = self.__slots__
+        if len(values) > len(fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes {len(fields)} fields, "
+                f"got {len(values)} positional values"
+            )
+        for name, value in zip(fields, values):
+            _setfield(self, name, value)
+        for name in fields[len(values):]:
+            if name not in named:
+                raise TypeError(f"{self.__class__.__qualname__} is missing field {name!r}")
+            _setfield(self, name, named.pop(name))
+        if named:
+            name = min(named)
+            problem = "two values for" if name in fields else "no"
+            raise TypeError(f"{self.__class__.__qualname__} has {problem} field {name!r}")
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -79,7 +99,7 @@ class Polynomial(_Record):
                 raise TypeError(f"integer coefficient required, got {c!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        _setfield(self, "coefficients", coeffs)
+        super().__init__(coeffs)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -208,9 +228,7 @@ class HilbertSeries(_Record):
                 num, pole = reduced, pole - 1
             if pole == 0:
                 base = 1
-        _setfield(self, "numerator", num)
-        _setfield(self, "pole_order", pole)
-        _setfield(self, "base", base)
+        super().__init__(num, pole, base)
 
     def coefficient(self, n: int) -> int:
         """dim of the degree-n piece, by formal expansion of the denominator."""

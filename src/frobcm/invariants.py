@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import mcm, pushforward
-from .arith import _Record, _setfield
+from .arith import _Record
 from .rings import FrobeniusContext, RingFamily, context_from_q
 
 _MAX_BETTI = 4  # convergence_check covers beta_1..beta_4
@@ -33,11 +33,6 @@ def _density_sum(family: RingFamily, i: int) -> Fraction:
 
 class InvariantReport(_Record):
     __slots__ = ("family", "s", "ehk")
-
-    def __init__(self, family: RingFamily, s: Fraction, ehk: Fraction) -> None:
-        _setfield(self, "family", family)
-        _setfield(self, "s", s)
-        _setfield(self, "ehk", ehk)
 
     def fbetti(self, i: int) -> Fraction:
         """i-th Frobenius Betti number; i = 0 is the Hilbert-Kunz multiplicity."""
@@ -79,23 +74,8 @@ def fbetti_pushforward(
 
 
 class FiniteQEstimates(_Record):
+    # canonical_est: the canonical-class density, where tracked, else None
     __slots__ = ("family", "ctx", "decomposition", "s_est", "ehk_est", "canonical_est")
-
-    def __init__(
-        self,
-        family: RingFamily,
-        ctx: FrobeniusContext,
-        decomposition: pushforward.Decomposition,
-        s_est: Fraction,
-        ehk_est: Fraction,
-        canonical_est: Fraction | None,  # canonical-class density, where tracked
-    ) -> None:
-        _setfield(self, "family", family)
-        _setfield(self, "ctx", ctx)
-        _setfield(self, "decomposition", decomposition)
-        _setfield(self, "s_est", s_est)
-        _setfield(self, "ehk_est", ehk_est)
-        _setfield(self, "canonical_est", canonical_est)
 
     def fbetti_est(self, i: int) -> Fraction:
         return Fraction(
@@ -119,16 +99,6 @@ def finite_q_estimates(
 class ConvergenceCheck(_Record):
     __slots__ = ("q", "name", "estimate", "limit", "bound", "ok")
 
-    def __init__(
-        self, q: int, name: str, estimate: Fraction, limit: Fraction, bound: Fraction, ok: bool
-    ) -> None:
-        _setfield(self, "q", q)
-        _setfield(self, "name", name)
-        _setfield(self, "estimate", estimate)
-        _setfield(self, "limit", limit)
-        _setfield(self, "bound", bound)
-        _setfield(self, "ok", ok)
-
     @property
     def gap(self) -> Fraction:
         return abs(self.estimate - self.limit)
@@ -143,13 +113,6 @@ class ConvergenceCheck(_Record):
 
 class ConvergenceReport(_Record):
     __slots__ = ("family", "limits", "checks")
-
-    def __init__(
-        self, family: RingFamily, limits: InvariantReport, checks: tuple[ConvergenceCheck, ...]
-    ) -> None:
-        _setfield(self, "family", family)
-        _setfield(self, "limits", limits)
-        _setfield(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

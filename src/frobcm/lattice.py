@@ -158,10 +158,6 @@ def count_pairs_sum_ge(q: int, k: int) -> int:
     return via_complement
 
 
-def enumerate_pairs_sum_ge(q: int, k: int) -> int:
-    return sum(1 for i in range(q) for j in range(q) if i + j >= k)
-
-
 def count_halfbox3(q: int) -> int:
     """#{(i, j, k) in [0, q)^3 : i + j >= k} = (5 q^3 + q) / 6, exactly."""
     if q < 1:
@@ -259,13 +255,3 @@ def count_parity_simplex3(n: int, parity: int) -> int:
         return 0
     j = (n - parity) // 2
     return (j + 1) * (j + 2) * (4 * j + (9 if parity else 3)) // 6
-
-
-def enumerate_parity_simplex3(n: int, parity: int) -> int:
-    return sum(
-        1
-        for a in range(n + 1)
-        for b in range(n + 1 - a)
-        for c in range(n + 1 - a - b)
-        if (a + b + c) % 2 == parity
-    )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import HilbertSeries, _Record, _setfield
+from .arith import HilbertSeries, _Record
 from .rings import RingFamily
 
 
@@ -24,13 +24,6 @@ class UnsupportedClassError(ValueError):
 class SummandClass(_Record):
     # beta1 is the first Betti number; beta_i grows by family.betti_ratio after it
     __slots__ = ("family", "tag", "mu", "rank", "beta1")
-
-    def __init__(self, family: RingFamily, tag: str, mu: int, rank: int, beta1: int) -> None:
-        _setfield(self, "family", family)
-        _setfield(self, "tag", tag)
-        _setfield(self, "mu", mu)
-        _setfield(self, "rank", rank)
-        _setfield(self, "beta1", beta1)
 
     def betti(self, i: int) -> int:
         """i-th Betti number from the closed forms."""
@@ -105,18 +98,6 @@ class ScrollSyzygy(_Record):
     """One first-syzygy generator x^a e_m - x^b e_(m+1), with 1-based m."""
 
     __slots__ = ("plus_monomial", "plus_basis", "minus_monomial", "minus_basis")
-
-    def __init__(
-        self,
-        plus_monomial: tuple[int, int],
-        plus_basis: int,
-        minus_monomial: tuple[int, int],
-        minus_basis: int,
-    ) -> None:
-        _setfield(self, "plus_monomial", plus_monomial)
-        _setfield(self, "plus_basis", plus_basis)
-        _setfield(self, "minus_monomial", minus_monomial)
-        _setfield(self, "minus_basis", minus_basis)
 
 
 def scroll_syzygy_generators(delta: int, l: int) -> tuple[ScrollSyzygy, ...]:

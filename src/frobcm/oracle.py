@@ -15,21 +15,13 @@ import itertools
 from fractions import Fraction
 
 from . import mcm
-from .arith import HilbertSeries, Polynomial, _Record, _setfield
+from .arith import HilbertSeries, Polynomial, _Record
 from .errors import AuditFailure
 from .rings import SCROLL, SCROLL21, VERONESE2, FrobeniusContext, RingFamily, scroll, veronese2
 
 
 class ColengthResult(_Record):
     __slots__ = ("family", "ctx", "colength", "normalized")
-
-    def __init__(
-        self, family: RingFamily, ctx: FrobeniusContext, colength: int, normalized: Fraction
-    ) -> None:
-        _setfield(self, "family", family)
-        _setfield(self, "ctx", ctx)
-        _setfield(self, "colength", colength)
-        _setfield(self, "normalized", normalized)
 
 
 def lambda_frobenius_quotient(family: RingFamily, ctx: FrobeniusContext) -> ColengthResult:

@@ -33,7 +33,7 @@ import itertools
 from functools import lru_cache
 
 from . import mcm
-from .arith import _Record, _setfield
+from .arith import _Record
 from .errors import AuditFailure
 from .rings import FrobeniusContext, RingFamily, scroll, scroll21
 
@@ -54,37 +54,14 @@ class ClassModule(_Record):
 
     __slots__ = ("family", "ctx", "residue", "generators")
 
-    def __init__(
-        self,
-        family: RingFamily,
-        ctx: FrobeniusContext,
-        residue: tuple[int, ...],
-        generators: tuple[tuple[int, ...], ...],
-    ) -> None:
-        _setfield(self, "family", family)
-        _setfield(self, "ctx", ctx)
-        _setfield(self, "residue", residue)
-        _setfield(self, "generators", generators)
-
     @property
     def mu(self) -> int:
         return len(self.generators)
 
 
 class Decomposition(_Record):
+    # multiplicities: (tag, count) pairs, in catalog order
     __slots__ = ("family", "ctx", "route", "multiplicities")
-
-    def __init__(
-        self,
-        family: RingFamily,
-        ctx: FrobeniusContext,
-        route: str,
-        multiplicities: tuple[tuple[str, int], ...],  # (tag, count), catalog order
-    ) -> None:
-        _setfield(self, "family", family)
-        _setfield(self, "ctx", ctx)
-        _setfield(self, "route", route)
-        _setfield(self, "multiplicities", multiplicities)
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.multiplicities)

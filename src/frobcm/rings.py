@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import HilbertSeries, Polynomial, _Record, _setfield
+from .arith import HilbertSeries, Polynomial, _Record
 from .lattice import count_congruence_box, count_parity_box3, count_parity_simplex3
 
 SCROLL = "scroll"
@@ -62,8 +62,7 @@ class FrobeniusContext(_Record):
             raise ValueError(f"p must be prime, got {p}")
         if e < 0:
             raise ValueError(f"e must be nonnegative, got {e}")
-        _setfield(self, "p", p)
-        _setfield(self, "e", e)
+        super().__init__(p, e)
 
     # Contexts and families key every cache lookup, so both spell out the
     # comparison the base would make through its generic field getter.
@@ -145,12 +144,9 @@ class RingFamily(_Record):
     _compared = ("kind", "delta")
 
     def __init__(self, kind: str, delta: int | None = None, **description) -> None:
-        _setfield(self, "kind", kind)
-        _setfield(self, "delta", delta)
         for name in self.__slots__[2:]:
-            _setfield(self, name, description.pop(name, None))
-        if description:
-            raise TypeError(f"RingFamily has no field {min(description)!r}")
+            description.setdefault(name, None)
+        super().__init__(kind, delta, **description)
 
     # spelled out for the cache lookups, as in FrobeniusContext
     def __eq__(self, other):
@@ -208,7 +204,9 @@ class RingFamily(_Record):
         return gcd(ctx.p, self.torsion_index) == 1
 
     def __reduce__(self):
-        return parse_ring, (self.label,)
+        # through the constructors, so even RingFamily("scroll", 3) loads as scroll(3)
+        name = self.kind if self.delta is None else f"{self.kind}:{self.delta}"
+        return parse_ring, (name,)
 
 
 def scroll(delta: int) -> RingFamily:

@@ -325,3 +325,14 @@ def test_import_adds_no_code_generating_modules():
         [sys.executable, "-c", IMPORT_FOOTPRINT], env=env, capture_output=True, text=True
     )
     assert probe.returncode == 0, probe.stderr
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # a reader such as `| head` may close the pipe before the output is
+    # written; the command then exits without a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(frobcm.__file__).parents[1]))
+    argv = [sys.executable, "-m", "frobcm.cli", "table1", "--max-i", "12", "--format", "json"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err.decode(), err.decode()

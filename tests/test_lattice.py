@@ -11,11 +11,23 @@ from frobcm.lattice import (
     enumerate_congruence_box,
     enumerate_convex_polygon_points,
     enumerate_halfbox3,
-    enumerate_pairs_sum_ge,
     enumerate_parity_box3,
-    enumerate_parity_simplex3,
     pick_count,
 )
+
+
+def enumerate_pairs_sum_ge(q: int, k: int) -> int:
+    return sum(1 for i in range(q) for j in range(q) if i + j >= k)
+
+
+def enumerate_parity_simplex3(n: int, parity: int) -> int:
+    return sum(
+        1
+        for a in range(n + 1)
+        for b in range(n + 1 - a)
+        for c in range(n + 1 - a - b)
+        if (a + b + c) % 2 == parity
+    )
 
 
 def convex_hull(points):

@@ -16,7 +16,7 @@ from frobcm.invariants import (
 from frobcm.mcm import ScrollSyzygy, SummandClass
 from frobcm.oracle import ColengthResult
 from frobcm.pushforward import ClassModule, Decomposition
-from frobcm.rings import FrobeniusContext, RingFamily, scroll
+from frobcm.rings import FrobeniusContext, RingFamily, scroll, scroll21, veronese2
 
 S3 = "RingFamily(kind='scroll', delta=3)"
 CTX = "FrobeniusContext(p=3, e=1)"
@@ -124,12 +124,58 @@ def test_record_is_immutable(build, field, expected):
 @pytest.mark.parametrize(("build", "field", "expected"), RECORDS, ids=IDS)
 def test_record_pickles(build, field, expected):
     record = build()
-    if isinstance(record, RingFamily):
-        # a family pickles by its label, which only the constructors set
-        record = scroll(3)
     back = pickle.loads(pickle.dumps(record))
     assert back == record and hash(back) == hash(record)
     assert repr(back) == expected
+
+
+@pytest.mark.parametrize(
+    ("bare", "constructor"),
+    [
+        (RingFamily("scroll", 3), lambda: scroll(3)),
+        (RingFamily("scroll21"), scroll21),
+        (RingFamily("veronese2"), veronese2),
+    ],
+    ids=["scroll:3", "scroll21", "veronese2"],
+)
+def test_bare_family_unpickles_as_the_constructors_family(bare, constructor):
+    back = pickle.loads(pickle.dumps(bare))
+    family = constructor()
+    assert back == family
+    assert back.label == family.label
+
+
+# The records whose fields the base constructor sets with no __init__ of their own
+FIELD_ONLY = (
+    SummandClass,
+    ScrollSyzygy,
+    ClassModule,
+    Decomposition,
+    InvariantReport,
+    FiniteQEstimates,
+    ConvergenceCheck,
+    ConvergenceReport,
+    ColengthResult,
+)
+SAMPLES = {type(build()): build for build, _, _ in RECORDS}
+
+
+@pytest.mark.parametrize("cls", FIELD_ONLY, ids=lambda cls: cls.__name__)
+def test_field_only_record_constructor(cls):
+    assert "__init__" not in cls.__dict__
+    fields = cls.__slots__
+    values = tuple(getattr(SAMPLES[cls](), name) for name in fields)
+    record = cls(*values)
+    assert cls(**dict(zip(fields, values))) == record
+    assert cls(values[0], **dict(zip(fields[1:], values[1:]))) == record
+    with pytest.raises(TypeError, match=f"missing field {fields[-1]!r}"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=f"takes {len(fields)} fields"):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError, match="no field 'colour'"):
+        cls(*values, colour="red")
+    with pytest.raises(TypeError, match=f"two values for field {fields[0]!r}"):
+        cls(*values, **{fields[0]: values[0]})
 
 
 def test_records_of_different_types_differ():
