@@ -13,14 +13,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import __version__, invariants, oracle, pushforward
-from .lattice import (
-    count_halfbox3,
-    count_pairs_sum_ge,
-    enumerate_congruence_box,
-    enumerate_halfbox3,
-    enumerate_parity_box3,
-)
+from . import __version__, invariants, mcm, oracle, pushforward
+from .lattice import enumerate_congruence_box, enumerate_parity_box3
 from .rings import (
     SCROLL,
     SCROLL21,
@@ -31,15 +25,15 @@ from .rings import (
     parse_ring,
 )
 
-SUITES = ("counts", "iso", "relations", "syzygy", "colength", "convergence", "all")
+SUITES = ("counts", "syzygy", "colength", "convergence", "all")
 
 ENUMERATION_CAP = 27  # largest q whose cubes the twins enumerate outright
 
-# Largest work estimate a brute-force check may run: colength rows or scroll
-# enumeration-twin points.  Over it the check reports a passing "skipped" row
-# that states the estimate.  There are two limits because the set-building
-# twins under ENUMERATION_CAP hold O(q^3) tuples in memory at once, while the
-# budget counts work that is streamed and keeps nothing.
+# Largest work estimate (colength rows, scroll twin points, hilbert class
+# points) a brute-force check may run.  Over it the check reports a passing
+# "skipped" row that states the estimate.  There are two limits because the
+# set-building twins under ENUMERATION_CAP hold O(q^3) tuples in memory at
+# once, while the budget counts work that is streamed and keeps nothing.
 WORK_BUDGET = 10_000_000
 
 
@@ -260,27 +254,12 @@ def _scroll21_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     if q <= 2:
         return [(f"counts[q={q}]", True, "skipped, needs q > 2")]
     ctx = context_from_q(q)
-    out = []
-    p1, p2, p3 = pushforward.scroll21_index_counts(ctx)
-    detail = f"({p1}, {p2}, {p3})"
-    if q <= ENUMERATION_CAP:
-        sets = pushforward.scroll21_index_sets(ctx)
-        ok = (p1, p2, p3) == tuple(len(s) for s in sets)
-        out.append((f"counts[q={q}] P-sets vs enumeration", ok, detail))
-        half = count_halfbox3(q)
-        ok_half = half == enumerate_halfbox3(q)
-        out.append(
-            (f"counts[q={q}] halfspace box formula", ok_half, f"{half}")
-        )
-    reduction = sum(count_pairs_sum_ge(q, k) for k in range(q))
-    out.append(
-        (
-            f"counts[q={q}] layer reduction",
-            reduction == count_halfbox3(q),
-            f"{reduction}",
-        )
-    )
-    return out
+    counts = pushforward.scroll21_index_counts(ctx)
+    name = f"counts[q={q}] P-sets vs enumeration"
+    if q > ENUMERATION_CAP:
+        return [(name, True, f"skipped, enumeration needs q <= {ENUMERATION_CAP}")]
+    ok = counts == tuple(len(s) for s in pushforward.scroll21_index_sets(ctx))
+    return [(name, ok, f"{counts}")]
 
 
 def _veronese2_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
@@ -291,51 +270,6 @@ def _veronese2_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]
         ok = a == enumerate_parity_box3(q, 0) and b == enumerate_parity_box3(q, 1)
         out.append((f"counts[q={q}] parity counts vs enumeration", ok, f"({a}, {b})"))
     return out
-
-
-def _scroll_iso(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
-    ctx = context_from_q(q)
-    delta = family.delta
-    if q <= delta:
-        return [(f"iso[q={q}]", True, f"skipped, needs q > {delta}")]
-    # Every class (i, j) of P(l) has i // q = l and j // q = 0, and the
-    # monomial count sees nothing else, so one class per l decides them all.
-    # (l q, (-l q) mod delta) lies in P(l) because q > delta.
-    ok = all(
-        pushforward.verify_summand_iso_scroll(delta, ctx, l, (l * q, (-l * q) % delta))
-        for l in range(delta)
-    )
-    checked = sum(pushforward.scroll_index_counts(delta, ctx))
-    return [(f"iso[q={q}] graded dimensions", ok, f"{checked} classes checked")]
-
-
-def _scroll21_relations(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
-    if q <= 2:
-        return [(f"relations[q={q}]", True, "skipped, needs q > 2")]
-    if q > ENUMERATION_CAP:
-        return [(f"relations[q={q}]", True, "skipped, enumeration too large")]
-    _, p2, p3 = pushforward.scroll21_index_sets(context_from_q(q))
-    # The relations, as exponent vectors: g1 + q (1, 1, 0) = g2 + q (2, 0, 0)
-    # with g1 = (i, j, k) and g2 = (i - q, j + q, k), and on P(3)
-    # g1 + q (1, 0, 1) = g3 + q (2, 0, 0) with g3 = (i - q, j, k + q).  Both
-    # hold identically and show the class is not free, so what is left to
-    # check is that the generators lie in the ring.
-    contains = family.contains
-    ok = all(
-        contains((i, j, k)) and contains((i - q, j + q, k)) for i, j, k in p2 | p3
-    ) and all(contains((i - q, j, k + q)) for i, j, k in p3)
-    return [
-        (
-            f"relations[q={q}] generator relations",
-            ok,
-            f"{len(p2) + len(p3)} indices checked",
-        )
-    ]
-
-
-def _veronese2_relations(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
-    ok = oracle.verify_veronese_sequences()
-    return [(f"relations[q={q}] series shadows of the resolutions", ok, "")]
 
 
 def _scroll_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
@@ -350,29 +284,49 @@ def _scroll_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
     ]
 
 
-# The verify suites whose body depends on the kind; colength and convergence
-# apply to every family.
+def _veronese2_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
+    ok = oracle.verify_veronese_sequences()
+    return [("syzygy series shadows of the resolutions", ok, "")]
+
+
+# The verify suites whose body depends on the kind; colength, convergence and
+# the syzygy suite's hilbert rows apply to every family.
 _KIND_SUITES = {
-    SCROLL: {"counts": _scroll_counts, "iso": _scroll_iso, "syzygy": _scroll_syzygy},
-    SCROLL21: {"counts": _scroll21_counts, "relations": _scroll21_relations},
-    VERONESE2: {"counts": _veronese2_counts, "relations": _veronese2_relations},
+    SCROLL: {"counts": _scroll_counts, "syzygy": _scroll_syzygy},
+    SCROLL21: {"counts": _scroll21_counts},
+    VERONESE2: {"counts": _veronese2_counts, "syzygy": _veronese2_syzygy},
 }
 
 
-def _kind_suite(name: str):
-    """The suite ``name``: the body for the family's kind, or None without one."""
-
-    def run(family: RingFamily, *q: int) -> list[tuple[str, bool, str]] | None:
-        body = _KIND_SUITES[family.kind].get(name)
-        return body(family, *q) if body else None
-
-    return run
+HILBERT_DEGREES = 4  # nonzero class dimensions compared per class key
 
 
-_suite_counts = _kind_suite("counts")
-_suite_iso = _kind_suite("iso")
-_suite_relations = _kind_suite("relations")
-_suite_syzygy = _kind_suite("syzygy")
+def _hilbert_rows(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+    # The syzygy suite's per-q rows: each class key's first residue, counted
+    # degree by degree from the membership predicate alone, must have the
+    # nonzero graded dimensions of the catalog series its tag names.
+    # Comparing the sequences of nonzero dimensions makes the check blind to
+    # degree shifts, so B and C, whose series differ by one, pass alike.
+    ctx = context_from_q(q)
+    if not family.coprime_torsion(ctx):
+        skip = f"skipped, p={ctx.p} divides the torsion index {family.torsion_index}"
+        return [(f"hilbert[q={q}]", True, skip)]
+    tags = pushforward.class_key_tags(family, ctx)
+    work = len(tags) * oracle.class_degree_points(family, HILBERT_DEGREES)
+    skip = _over_budget(work)
+    if skip:
+        return [(f"hilbert[q={q}]", True, skip)]
+    name = f"hilbert[q={q}] class dimensions vs tag series"
+    for key, (first, tag) in tags.items():
+        found = oracle.class_degree_counts(family, q, first, HILBERT_DEGREES)
+        series = mcm.module_hilbert_series(mcm.class_by_tag(family, tag))
+        # nonzero at every base-th degree from its lowest term on
+        top = series.numerator.degree + HILBERT_DEGREES * series.base
+        expected = [c for c in series.coefficients(top) if c][:HILBERT_DEGREES]
+        if found != expected:
+            detail = f"key {key} tagged {tag}: dimensions {found}, series {expected}"
+            return [(name, False, detail)]
+    return [(name, True, f"{len(tags)} class keys, work estimate {work}")]
 
 
 def _suite_colength(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
@@ -400,23 +354,23 @@ def _suite_convergence(family: RingFamily, q_list: list[int]) -> list[tuple[str,
 
 def build_verify_record(family: RingFamily, q_list: list[int], suite: str) -> dict:
     checks: list[tuple[str, bool, str]] = []
+    kind = _KIND_SUITES[family.kind]
 
     def run(name: str, label: str, runner, *args) -> None:
         # a suite with no body for the family's kind reports one skipped row
         if suite not in (name, "all"):
             return
         try:
-            rows = runner(family, *args)
+            rows = runner(family, *args) if runner else None
         except ValueError as exc:
             rows = [(label, False, f"error: {exc}")]
         checks.extend(rows or [(label, True, "not applicable, skipped")])
 
     for q in q_list:
-        run("counts", f"counts[q={q}]", _suite_counts, q)
-        run("iso", f"iso[q={q}]", _suite_iso, q)
-        run("relations", f"relations[q={q}]", _suite_relations, q)
+        run("counts", f"counts[q={q}]", kind["counts"], q)
+        run("syzygy", f"hilbert[q={q}]", _hilbert_rows, q)
         run("colength", f"colength[q={q}]", _suite_colength, q)
-    run("syzygy", "syzygy", _suite_syzygy)
+    run("syzygy", "syzygy", kind.get("syzygy"))
     run("convergence", "convergence", _suite_convergence, q_list)
     return {
         "artifact_version": __version__,

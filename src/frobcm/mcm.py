@@ -84,13 +84,11 @@ def recurrence_residuals(family: RingFamily, i: int) -> list[int]:
 
 
 def module_hilbert_series(cls: SummandClass) -> HilbertSeries:
-    """Graded Hilbert series of the class, where its family records one."""
+    """Graded Hilbert series of the class, where its family records one: all
+    but scroll21's C and D (its other rows are derived here, not in the paper)."""
     series = dict(cls.family.hilbert).get(cls.tag)
     if series is None:
-        raise UnsupportedClassError(
-            f"no Hilbert series recorded for {cls}; the {cls.family.label} "
-            "classes do not carry one"
-        )
+        raise UnsupportedClassError(f"no Hilbert series recorded for {cls}")
     return series
 
 

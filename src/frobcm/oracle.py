@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from . import mcm
 from .arith import HilbertSeries, Polynomial, _Record
@@ -130,6 +131,33 @@ _COLENGTH_KERNELS = {
     SCROLL21: lambda family, *box: _lambda_scroll21(*box),
     VERONESE2: lambda family, *box: _lambda_veronese2(*box),
 }
+
+
+def class_degree_counts(
+    family: RingFamily, q: int, residue: tuple[int, ...], count: int
+) -> list[int]:
+    """The first ``count`` nonzero graded dimensions of one residue class.
+
+    The degree-m piece counts the points residue + q y (y >= 0, |y| = m) in
+    the semigroup.  Each class of these families occupies one residue of
+    degrees mod the torsion index T, from a degree <= T (scroll21's classes
+    with i + j < k start at T), so m <= count * T holds the first ``count``.
+    """
+    coordinates = range(len(residue))
+    dims = []
+    for m in range(count * family.torsion_index + 1):
+        # each multiset of m coordinates is one y with |y| = m
+        points = (
+            tuple(r + q * picks.count(c) for c, r in enumerate(residue))
+            for picks in itertools.combinations_with_replacement(coordinates, m)
+        )
+        dims.append(sum(map(family.contains, points)))
+    return [dim for dim in dims if dim][:count]
+
+
+def class_degree_points(family: RingFamily, count: int) -> int:
+    """Points ``class_degree_counts`` tests at most: every |y| <= count * T."""
+    return comb(count * family.torsion_index + family.ambient_vars, family.ambient_vars)
 
 
 def min_gens_pushforward(family: RingFamily, ctx: FrobeniusContext) -> int:

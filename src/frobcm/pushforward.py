@@ -283,28 +283,37 @@ def _paper_multiplicities(family: RingFamily, ctx: FrobeniusContext) -> dict[str
     return _index_set_counts(family, ctx.q)
 
 
-def _residue_class_multiplicities(
+def class_key_tags(
     family: RingFamily, ctx: FrobeniusContext
-) -> dict[str, int]:
-    """Tally the q^d residue classes by tag without enumerating them.
-
-    Each class key contributes its closed-form residue count to the tag of
-    its first residue, so the cost is one minimal-generator search per key
-    with residues, independent of q.
-    """
+) -> dict[object, tuple[tuple[int, ...], str]]:
+    """Each class key with residues at ctx -> (its first residue, its tag),
+    the tag read off mu by one minimal-generator search per key."""
     q = ctx.q
-    counts: dict[str, int] = {}
-    total = 0
+    tags = {}
     for key, (count, first) in family.class_key_counts(q).items():
         if count == 0:
             continue
         if family.class_key(q, first) != key:
             raise AuditFailure(f"{first} does not have class key {key} at q={q}")
         mu = class_minimal_generators(family, ctx, first).mu
-        tag = mcm.class_tag_for_mu(family, mu)
-        counts[tag] = counts.get(tag, 0) + count
-        total += count
-    if total != q ** family.ambient_vars:
+        tags[key] = (first, mcm.class_tag_for_mu(family, mu))
+    return tags
+
+
+def _residue_class_multiplicities(
+    family: RingFamily, ctx: FrobeniusContext
+) -> dict[str, int]:
+    """Tally the q^d residue classes by tag without enumerating them.
+
+    Each class key contributes its closed-form residue count to its tag in
+    ``class_key_tags``, so the cost is independent of q.
+    """
+    q = ctx.q
+    key_counts = family.class_key_counts(q)
+    counts: dict[str, int] = {}
+    for key, (_, tag) in class_key_tags(family, ctx).items():
+        counts[tag] = counts.get(tag, 0) + key_counts[key][0]
+    if sum(counts.values()) != q ** family.ambient_vars:
         raise AuditFailure(f"class key counts do not partition the cube at q={q}")
     return counts
 

@@ -4,7 +4,8 @@ A family is described in one place, its constructor: ``scroll(delta)``,
 ``scroll21()`` and ``veronese2()`` each build one ``RingFamily`` with the
 membership predicate, the algebra generators (exponent vectors, plain integer
 tuples) and all the other modules read about it: the catalog of MCM classes,
-their densities, the limits, Hilbert series, Betti recurrences, the
+their densities, the limits, Hilbert series (scroll21's derived here, not in
+the paper), Betti recurrences, the
 residue class key with its closed per-key counts, and the paper's index sets
 as the class keys whose residues each set counts.
 
@@ -350,7 +351,16 @@ def _scroll21() -> RingFamily:
         fbetti=lambda i: Fraction(9 * 2 ** (i - 1), 4),
         fbetti_text="9*2^(i-1)/4",
         canonical_tag="A",
-        hilbert=(),
+        # Each row is derived here, not in the paper, grading x^i y^j z^k by
+        # (i + j + k) / 2: A = R.dual() is the canonical class; B = Omega(A),
+        # the kernel of R(-2)^2 -> A, has 2 t^2 H(R) - H(A); BorC takes B's
+        # series, since C's differs from it by a shift.  C and D have none.
+        hilbert=(
+            ("R", HilbertSeries(Polynomial((1, 2)), 3)),
+            ("A", HilbertSeries(Polynomial((0, 0, 2, 1)), 3)),
+            ("B", HilbertSeries(Polynomial((0, 0, 0, 3)), 3)),
+            ("BorC", HilbertSeries(Polynomial((0, 0, 0, 3)), 3)),
+        ),
         recurrences=recurrences,
         class_key=class_key,
         class_key_counts=class_key_counts,

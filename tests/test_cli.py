@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import frobcm
-from frobcm import pushforward
+from frobcm import cli, mcm, oracle, pushforward
 from frobcm.cli import (
+    ENUMERATION_CAP,
     WORK_BUDGET,
     _default_families,
     build_table1_record,
@@ -129,25 +131,43 @@ def test_verify_syzygy_counts_sets(capsys):
 
 
 def test_verify_skips_scroll_counts_at_small_q(capsys):
-    # the index boxes need q > delta; like iso, the suite is skipped there
+    # the index boxes need q > delta, so the suite is skipped there
     code, out, _ = run(capsys, ["verify", "--ring", "scroll:5", "--q", "3", "--suite", "counts"])
     assert code == 0
     assert out == "PASS counts[q=3]  (skipped, needs q > 5)\nall 1 checks passed\n"
 
 
 def test_verify_skips_scroll21_index_suites_at_q2(capsys):
-    # the index sets need q > 2; counts and relations are skipped there
-    for suite in ("counts", "relations"):
-        argv = ["verify", "--ring", "scroll21", "--q", "2", "--suite", suite]
-        code, out, _ = run(capsys, argv)
-        assert code == 0
-        assert out == f"PASS {suite}[q=2]  (skipped, needs q > 2)\nall 1 checks passed\n"
+    # the index sets need q > 2, and p = 2 divides the torsion index 2, so
+    # no class has a tag for the syzygy suite's hilbert row to check
+    argv = ["verify", "--ring", "scroll21", "--q", "2", "--suite"]
+    code, out, _ = run(capsys, argv + ["counts"])
+    assert code == 0
+    assert out == "PASS counts[q=2]  (skipped, needs q > 2)\nall 1 checks passed\n"
+    code, out, _ = run(capsys, argv + ["syzygy"])
+    assert code == 0
+    assert out == (
+        "PASS hilbert[q=2]  (skipped, p=2 divides the torsion index 2)\n"
+        "PASS syzygy  (not applicable, skipped)\n"
+        "all 2 checks passed\n"
+    )
+
+
+def test_verify_skips_scroll21_p_set_twin_past_the_cap():
+    record = build_verify_record(scroll21(), [81], "counts")
+    assert record["checks"] == [
+        {
+            "name": "counts[q=81] P-sets vs enumeration",
+            "ok": True,
+            "detail": f"skipped, enumeration needs q <= {ENUMERATION_CAP}",
+        }
+    ]
 
 
 def test_verify_over_budget_checks_are_skipped(capsys):
     # scroll:5 at q = 3125: the enumeration twin's points are 5 q^2 =
-    # 48828125, over the budget; the closed checks and the iso check, one
-    # monomial count per P(l), still run
+    # 48828125, over the budget; the closed checks still run, and p = 5
+    # divides delta, so no class has a tag for the hilbert row to check
     code, out, _ = run(capsys, ["verify", "--ring", "scroll:5", "--q", "3125", "--format", "json"])
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -155,63 +175,120 @@ def test_verify_over_budget_checks_are_skipped(capsys):
     assert checks["counts[q=3125] a_l vs enumeration"] == {
         "name": "counts[q=3125] a_l vs enumeration", "ok": True, "detail": skip
     }
-    assert checks["iso[q=3125] graded dimensions"] == {
-        "name": "iso[q=3125] graded dimensions", "ok": True, "detail": "9765625 classes checked"
+    assert checks["hilbert[q=3125]"] == {
+        "name": "hilbert[q=3125]", "ok": True, "detail": "skipped, p=5 divides the torsion index 5"
     }
     assert checks["counts[q=3125] sum a_l = q^2"]["ok"]
     assert checks["colength[q=3125] lambda/q^d near e_HK"]["detail"] == "lambda=29296875, gap=0"
 
 
+def test_verify_hilbert_over_budget_is_skipped(monkeypatch):
+    # 6 scroll21 class keys of at most C(11, 3) = 165 points each
+    monkeypatch.setattr(cli, "WORK_BUDGET", 989)
+    record = build_verify_record(scroll21(), [5], "syzygy")
+    assert record["checks"][0] == {
+        "name": "hilbert[q=5]", "ok": True, "detail": "skipped, work estimate 990 over budget 989"
+    }
+
+
 @pytest.mark.parametrize("delta", (2, 3, 6))
 def test_verify_iso_checks_one_class_per_l(monkeypatch, delta):
+    # the hilbert row, which replaced the iso row, counts one class per key:
+    # the key's first residue, whose residue degree mod delta is the key
     q = 7
-    real = pushforward.verify_summand_iso_scroll
+    real = oracle.class_degree_counts
     calls = []
 
-    def recording(delta_, ctx_, l, ij, steps=8):
-        calls.append((l, ij))
-        return real(delta_, ctx_, l, ij, steps)
+    def recording(family, q_, residue, count):
+        calls.append(residue)
+        return real(family, q_, residue, count)
 
-    monkeypatch.setattr(pushforward, "verify_summand_iso_scroll", recording)
-    record = build_verify_record(scroll(delta), [q], "iso")
-    assert record["checks"] == [
-        {"name": "iso[q=7] graded dimensions", "ok": True, "detail": "49 classes checked"}
-    ]
-    assert [l for l, _ in calls] == list(range(delta))
-    for l, (i, j) in calls:
-        assert l * q <= i < (l + 1) * q and 0 <= j < q and (i + j) % delta == 0
+    monkeypatch.setattr(oracle, "class_degree_counts", recording)
+    record = build_verify_record(scroll(delta), [q], "syzygy")
+    work = delta * comb(4 * delta + 2, 2)
+    assert record["checks"][0] == {
+        "name": "hilbert[q=7] class dimensions vs tag series",
+        "ok": True,
+        "detail": f"{delta} class keys, work estimate {work}",
+    }
+    assert sorted(sum(r) % delta for r in calls) == list(range(delta))
+    assert all(0 <= c < q for r in calls for c in r)
+
+
+def mistag(monkeypatch, wrong):
+    """Make ``mcm.class_tag_for_mu`` answer ``wrong[tag]`` for one key: the
+    first class it tags with a tag in ``wrong``."""
+    real = mcm.class_tag_for_mu
+    done = []
+
+    def tagging(family, mu):
+        tag = real(family, mu)
+        if tag in wrong and not done:
+            done.append(tag)
+            return wrong[tag]
+        return tag
+
+    monkeypatch.setattr(mcm, "class_tag_for_mu", tagging)
+    return done
 
 
 @pytest.mark.parametrize("failing", range(3))
 def test_verify_iso_fails_when_one_l_fails(monkeypatch, failing):
-    monkeypatch.setattr(
-        pushforward,
-        "verify_summand_iso_scroll",
-        lambda delta, ctx, l, ij, steps=8: l != failing,
-    )
-    record = build_verify_record(scroll(3), [5], "iso")
-    assert record["checks"] == [
-        {"name": "iso[q=5] graded dimensions", "ok": False, "detail": "25 classes checked"}
-    ]
+    # the hilbert row fails when the class of M(failing) is tagged M(l + 1)
+    wrong = f"M({(failing + 1) % 3})"
+    mistag(monkeypatch, {f"M({failing})": wrong})
+    record = build_verify_record(scroll(3), [5], "syzygy")
+    check = record["checks"][0]
+    assert check["name"] == "hilbert[q=5] class dimensions vs tag series"
+    assert check["ok"] is False
+    assert f"tagged {wrong}: dimensions [{failing + 1}, " in check["detail"]
     assert record["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "ring,wrong",
+    [
+        ("scroll:3", {"M(1)": "M(2)"}),
+        ("scroll21", {"R": "A"}),
+        ("scroll21", {"A": "BorC"}),
+        ("scroll21", {"BorC": "R"}),
+        ("veronese2", {"R": "A"}),
+        ("veronese2", {"A": "R"}),
+    ],
+)
+def test_verify_hilbert_fails_on_one_mistagged_key(capsys, monkeypatch, ring, wrong):
+    done = mistag(monkeypatch, wrong)
+    code, out, _ = run(capsys, ["verify", "--ring", ring, "--q", "7", "--suite", "syzygy"])
+    assert done == list(wrong)
+    assert code == 1
+    assert out.startswith("FAIL hilbert[q=7] class dimensions vs tag series  (key ")
+    assert f" tagged {wrong[done[0]]}: " in out
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 25, 27, 49))
+@pytest.mark.parametrize("ring", _default_families())
+def test_verify_hilbert_passes_on_every_family(ring, q):
+    record = build_verify_record(parse_ring(ring), [q], "syzygy")
+    assert record["checks"][0]["name"].startswith(f"hilbert[q={q}]")
+    assert record["ok"], record["checks"]
 
 
 @pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13, 25, 27))
 def test_verify_relations_fail_on_a_p2_triple_in_p3(monkeypatch, q):
+    # the counts suite's P-set twin compares the closed counts with the
+    # literal sets, so a P(2) triple that strays into P(3) fails it
     p1, p2, p3 = pushforward.scroll21_index_sets(context_from_q(q))
-    # g3 = (i - q, j, k + q) has i + j - k - 2q < 0 on every P(2) triple, so
-    # it leaves the ring whichever triple is moved
-    assert not any(scroll21().contains((i - q, j, k + q)) for i, j, k in p2)
     stray = min(p2)
+    assert stray not in p3
     monkeypatch.setattr(
         pushforward, "scroll21_index_sets", lambda ctx: (p1, p2, p3 | {stray})
     )
-    record = build_verify_record(scroll21(), [q], "relations")
+    record = build_verify_record(scroll21(), [q], "counts")
     assert record["checks"] == [
         {
-            "name": f"relations[q={q}] generator relations",
+            "name": f"counts[q={q}] P-sets vs enumeration",
             "ok": False,
-            "detail": f"{len(p2) + len(p3) + 1} indices checked",
+            "detail": f"{(len(p1), len(p2), len(p3))}",
         }
     ]
 
@@ -233,10 +310,15 @@ def test_verify_colength_over_budget_is_skipped(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, _ = run(
-        capsys, ["verify", "--ring", "scroll:4", "--q", "5", "--suite", "nope"]
-    )
-    assert code == 2
+    # the hilbert rows that replaced iso and relations belong to the syzygy
+    # suite; none of the three names is a suite
+    for suite in ("nope", "iso", "relations", "hilbert"):
+        code, out, err = run(
+            capsys, ["verify", "--ring", "scroll:4", "--q", "5", "--suite", suite]
+        )
+        assert code == 2
+        assert out == ""
+        assert f"invalid choice: '{suite}'" in err
 
 
 def test_verify_non_integer_q(capsys):

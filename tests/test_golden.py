@@ -17,12 +17,16 @@ moved into the ring constructors, with
 
 into ``table1_max12.<txt|json|csv>`` and ``verify_<R>_q<Q>.json`` for every
 default family and Q in {3, 5, 7, 9}.  The scroll files at q <= delta were
-written again after the counts suite learned to skip there, as iso does;
-they keep the convergence FAIL rows that scrolls report at small q.  The
+written again after the counts suite learned to skip there; they keep the
+convergence FAIL rows that scrolls report at small q.  The
 seven of them where p also divides delta (scroll:3 q3, scroll:5 q5,
 scroll:6 q3, scroll:7 q7, scroll:9 q3 and q9, scroll:10 q5) were written
 once more when route legality moved into ``pushforward.legal_routes``: only
 their convergence detail changed, to "no decomposition route is legal".
+All 44 verify files were written again when one per-class ``hilbert`` row
+replaced the ``iso`` and ``relations`` rows: only those rows, the veronese2
+``syzygy`` row and scroll21's deleted ``halfspace box formula`` and
+``layer reduction`` counts rows changed.
 """
 
 import json

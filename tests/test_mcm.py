@@ -134,9 +134,24 @@ def test_scroll_series_example():
 
 
 def test_scroll21_series_unsupported():
-    for tag in ("R", "A", "B", "C", "BorC", "D"):
+    for tag in ("C", "D"):
         with pytest.raises(UnsupportedClassError):
             module_hilbert_series(class_by_tag(scroll21(), tag))
+
+
+def test_scroll21_series_derivations():
+    def series(tag):
+        return module_hilbert_series(class_by_tag(scroll21(), tag))
+
+    ring = series("R")
+    # the semigroup graded by half the total degree: 1 and the 5 generators
+    # first, then the 12 monomials of total degree 4 with i + j >= k
+    assert ring.coefficients(3) == [1, 5, 12, 22]
+    assert series("A") == ring.dual()
+    assert series("B") == ring.scale(2).shift(2) - series("A")
+    assert series("B") == HilbertSeries(Polynomial((0, 0, 0, 3)), 3)
+    assert series("BorC") == series("B")
+    assert series("A").coefficients(5) == [0, 0, 2, 7, 15, 26]
 
 
 def test_syzygy_generating_sets():

@@ -10,13 +10,15 @@ from frobcm.oracle import (
     _lambda_scroll,
     _lambda_scroll21,
     _lambda_veronese2,
+    class_degree_counts,
+    class_degree_points,
     colength_rows,
     lambda_frobenius_quotient,
     min_gens_pushforward,
     verify_scroll_syzygy,
     verify_veronese_sequences,
 )
-from frobcm.pushforward import ROUTE_CLASSES, decompose
+from frobcm.pushforward import ROUTE_CLASSES, ROUTE_PAPER, decompose
 from frobcm.rings import (
     FrobeniusContext,
     context_from_q,
@@ -215,6 +217,45 @@ def test_lambda_convergence_bound():
             assert abs(result.normalized - ehk) <= Fraction(4, q)
 
 
+@pytest.mark.parametrize("q", (5, 7, 9))
+def test_scroll21_class_degree_counts(q):
+    # the first residue of each class key; (-1, 0) and (1, 1) share their
+    # dimensions, the first one degree later
+    table = {
+        (0, 0, 0): [1, 5, 12, 22],
+        (2, q - 1, 0): [1, 5, 12, 22],
+        (0, 0, 1): [2, 7, 15, 26],
+        (0, 1, 0): [2, 7, 15, 26],
+        (1, q - 1, 0): [3, 9, 18, 30],
+        (0, 0, 2): [3, 9, 18, 30],
+    }
+    for residue, dims in table.items():
+        assert class_degree_counts(scroll21(), q, residue, 4) == dims
+    # nothing of the class (0, 0, 2) lies below degree 2
+    assert class_degree_counts(scroll21(), q, (0, 0, 2), 1) == [3]
+
+
+def test_class_degree_counts_match_a_box_count():
+    # the same dimensions, read off every class point of a box by its degree
+    for family, q in ((scroll(3), 5), (scroll(4), 3), (veronese2(), 3), (scroll21(), 7)):
+        n = family.ambient_vars
+        top = 4 * family.torsion_index
+        for residue in product(range(q), repeat=n):
+            dims = [0] * (top + 1)
+            for y in product(range(top + 1), repeat=n):
+                point = tuple(r + q * c for r, c in zip(residue, y))
+                if sum(y) <= top and family.contains(point):
+                    dims[sum(y)] += 1
+            expected = [d for d in dims if d][:4]
+            assert class_degree_counts(family, q, residue, 4) == expected, (family, residue)
+
+
+def test_class_degree_points():
+    assert class_degree_points(scroll21(), 4) == 165  # |y| <= 8 in N^3
+    assert class_degree_points(scroll(3), 4) == 91  # |y| <= 12 in N^2
+    assert class_degree_points(veronese2(), 2) == 35
+
+
 def test_min_gens_pinned():
     assert min_gens_pushforward(scroll(2), Q3) == 13
     assert min_gens_pushforward(scroll21(), Q3) == 45
@@ -238,6 +279,24 @@ def test_min_gens_matches_decomposition():
             ctx = context_from_q(q)
             dec = decompose(family, ctx, ROUTE_CLASSES)
             assert min_gens_pushforward(family, ctx) == dec.total_min_generators()
+
+
+def test_colength_equals_total_min_generators():
+    # lambda(R/m^[q]) = mu(F_*R) for these graded rings over a perfect field,
+    # at every q where the residue route is legal
+    for label in ("scroll:2", "scroll:3", "scroll:5", "scroll:6", "scroll21", "veronese2"):
+        family = parse_ring(label)
+        for q in (3, 4, 5, 7, 8, 9, 25, 27, 49, 81):
+            ctx = context_from_q(q)
+            if (ctx.p == 2 and family.p2_refusal) or not family.coprime_torsion(ctx):
+                continue
+            colength = lambda_frobenius_quotient(family, ctx).colength
+            assert colength == decompose(family, ctx, ROUTE_CLASSES).total_min_generators()
+            if label == "scroll21":
+                # the index sets miss key (-1, 0), whose classes have mu = 3
+                missed = family.class_key_counts(q)[(-1, 0)][0]
+                paper = decompose(family, ctx, ROUTE_PAPER).total_min_generators()
+                assert colength - paper == 3 * missed > 0
 
 
 def test_min_gens_torsion_guard():

@@ -15,6 +15,7 @@ from frobcm.pushforward import (
     ROUTE_PAPER,
     _iso_dimensions_match,
     _residue_class_multiplicities,
+    class_key_tags,
     class_minimal_generators,
     decompose,
     default_route,
@@ -269,6 +270,45 @@ def test_class_key_counts_match_enumerating_tally():
         key = scroll(3).class_key(81, residue)
         key_counts[key] = key_counts.get(key, 0) + 1
     assert nonzero_key_counts(scroll(3), 81) == key_counts
+
+
+def test_class_key_tags_match_enumerating_tally():
+    for family in map(parse_ring, _default_families()):
+        for q in (5, 7, 25):
+            ctx = context_from_q(q)
+            if not family.coprime_torsion(ctx):
+                continue
+            tags = class_key_tags(family, ctx)
+            assert set(tags) == set(nonzero_key_counts(family, q)), (family, q)
+            for key, (first, tag) in tags.items():
+                assert family.class_key(q, first) == key
+                assert tag == class_tag_for_mu(
+                    family, class_minimal_generators(family, ctx, first).mu
+                )
+
+
+@pytest.mark.parametrize(
+    "q", (3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 125, 243, 729, 2187, 6561)
+)
+def test_scroll21_borc_keys_have_two_offset_shapes(q):
+    # keys (-1, 0) and (1, 1) both get the tag BorC and the same nonzero
+    # graded dimensions, but their generators (g - r) / q, r the class's
+    # first residue, are not translates of each other: two modules, B and C
+    ctx = context_from_q(q)
+    tags = class_key_tags(scroll21(), ctx)
+    shapes = {
+        (-1, 0): {(2, 0, 0), (1, 1, 0), (0, 2, 0)},
+        (1, 1): {(1, 0, 0), (0, 1, 0), (0, 0, 1)},
+    }
+    for key, shape in shapes.items():
+        first, tag = tags[key]
+        assert tag == "BorC"
+        gens = class_minimal_generators(scroll21(), ctx, first).generators
+        offsets = set()
+        for g in gens:
+            assert all((a - r) % q == 0 for a, r in zip(g, first))
+            offsets.add(tuple((a - r) // q for a, r in zip(g, first)))
+        assert offsets == shape, (key, q)
 
 
 def test_residue_route_searches_once_per_key(monkeypatch):
