@@ -13,8 +13,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import __version__, invariants, mcm, oracle, pushforward
-from .lattice import enumerate_congruence_box, enumerate_parity_box3
+from . import __version__, invariants, lattice, mcm, oracle, pushforward
+from .errors import AuditFailure
 from .rings import (
     SCROLL,
     SCROLL21,
@@ -27,13 +27,11 @@ from .rings import (
 
 SUITES = ("counts", "syzygy", "colength", "convergence", "all")
 
-ENUMERATION_CAP = 27  # largest q whose cubes the twins enumerate outright
-
-# Largest work estimate (colength rows, scroll twin points, hilbert class
-# points) a brute-force check may run.  Over it the check reports a passing
-# "skipped" row that states the estimate.  There are two limits because the
-# set-building twins under ENUMERATION_CAP hold O(q^3) tuples in memory at
-# once, while the budget counts work that is streamed and keeps nothing.
+# Largest work estimate (colength rows, enumeration twin points, hilbert
+# class points) a brute-force check may run.  Over it the check reports a
+# passing "skipped" row that states the estimate.  It is the one limit:
+# every twin streams its points and keeps only counts, so work, not memory,
+# is what grows with q.
 WORK_BUDGET = 10_000_000
 
 
@@ -244,7 +242,7 @@ def _scroll_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     if skip:
         return out + [(twin, True, skip)]
     enum = [
-        enumerate_congruence_box(l * q, (l + 1) * q, 0, q, family.delta, 0)
+        lattice.enumerate_congruence_box(l * q, (l + 1) * q, 0, q, family.delta, 0)
         for l in range(family.delta)
     ]
     return out + [(twin, counts == enum, f"{counts}")]
@@ -256,20 +254,23 @@ def _scroll21_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     ctx = context_from_q(q)
     counts = pushforward.scroll21_index_counts(ctx)
     name = f"counts[q={q}] P-sets vs enumeration"
-    if q > ENUMERATION_CAP:
-        return [(name, True, f"skipped, enumeration needs q <= {ENUMERATION_CAP}")]
-    ok = counts == tuple(len(s) for s in pushforward.scroll21_index_sets(ctx))
-    return [(name, ok, f"{counts}")]
+    skip = _over_budget(2 * q ** 3)
+    if skip:
+        return [(name, True, skip)]
+    return [(name, counts == lattice.enumerate_scroll21_p_sets(q), f"{counts}")]
 
 
 def _veronese2_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     dec = pushforward.decompose(family, context_from_q(q), pushforward.ROUTE_PAPER)
     a, b = dec.mult("R"), dec.mult("A")
     out = [(f"counts[q={q}] parity split sums to q^3", a + b == q ** 3, f"({a}, {b})")]
-    if q <= ENUMERATION_CAP:
-        ok = a == enumerate_parity_box3(q, 0) and b == enumerate_parity_box3(q, 1)
-        out.append((f"counts[q={q}] parity counts vs enumeration", ok, f"({a}, {b})"))
-    return out
+    twin = f"counts[q={q}] parity counts vs enumeration"
+    skip = _over_budget(q ** 3)
+    if skip:
+        return out + [(twin, True, skip)]
+    # every triple has one parity, so the odd count is the rest of the cube
+    even = lattice.enumerate_parity_box3(q, 0)
+    return out + [(twin, a == even and b == q ** 3 - even, f"({a}, {b})")]
 
 
 def _scroll_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
@@ -362,7 +363,7 @@ def build_verify_record(family: RingFamily, q_list: list[int], suite: str) -> di
             return
         try:
             rows = runner(family, *args) if runner else None
-        except ValueError as exc:
+        except (ValueError, AuditFailure) as exc:
             rows = [(label, False, f"error: {exc}")]
         checks.extend(rows or [(label, True, "not applicable, skipped")])
 

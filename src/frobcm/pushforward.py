@@ -118,38 +118,9 @@ def scroll21_index_counts(ctx: FrobeniusContext) -> tuple[int, int, int]:
     cube; P(2) and P(3) shift i by q and split on i + j - k < 2q versus
     >= 2q.  Each is the residues of the class keys listed for it in
     ``scroll21()``, so the counts are O(1) at any q, even q included;
-    enumeration twins cross-check this for small q in the tests.
+    ``verify`` checks them against ``lattice.enumerate_scroll21_p_sets``.
     """
     return tuple(_index_set_counts(scroll21(), ctx.q).values())
-
-
-def scroll21_index_sets(ctx: FrobeniusContext):
-    """Enumeration twin: the literal index sets as frozensets of triples."""
-    q = ctx.q
-    if q <= 2:
-        raise ValueError(f"index sets need q > 2, got q={q}")
-    p1 = frozenset(
-        (i, j, k)
-        for i in range(q)
-        for j in range(q)
-        for k in range(q)
-        if (i + j + k) % 2 == 0 and i + j - k >= 0
-    )
-    p2 = frozenset(
-        (i, j, k)
-        for i in range(q, 2 * q)
-        for j in range(q)
-        for k in range(q)
-        if (i + j + k) % 2 == 0 and 0 <= i + j - k < 2 * q
-    )
-    p3 = frozenset(
-        (i, j, k)
-        for i in range(q, 2 * q)
-        for j in range(q)
-        for k in range(q)
-        if (i + j + k) % 2 == 0 and i + j - k >= 2 * q
-    )
-    return p1, p2, p3
 
 
 def _paper_refusal(family: RingFamily, ctx: FrobeniusContext) -> str | None:

@@ -8,18 +8,19 @@ from pathlib import Path
 import pytest
 
 import frobcm
-from frobcm import cli, mcm, oracle, pushforward
+from frobcm import cli, lattice, mcm, oracle, pushforward
 from frobcm.cli import (
-    ENUMERATION_CAP,
     WORK_BUDGET,
     _default_families,
     build_table1_record,
     build_verify_record,
     main,
 )
+from frobcm.errors import AuditFailure
 from frobcm.invariants import finite_q_estimates, limits
 from frobcm.oracle import colength_rows
 from frobcm.rings import FrobeniusContext, context_from_q, parse_ring, scroll, scroll21
+from test_lattice import scroll21_p_sets
 
 
 def run(capsys, argv):
@@ -153,15 +154,47 @@ def test_verify_skips_scroll21_index_suites_at_q2(capsys):
     )
 
 
-def test_verify_skips_scroll21_p_set_twin_past_the_cap():
+def test_verify_skips_scroll21_p_set_twin_past_the_cap(monkeypatch):
+    # the twin sweeps [0, 2q) x [0, q)^2: 2 * 81^3 = 1062882 points
+    monkeypatch.setattr(cli, "WORK_BUDGET", 1062881)
     record = build_verify_record(scroll21(), [81], "counts")
     assert record["checks"] == [
         {
             "name": "counts[q=81] P-sets vs enumeration",
             "ok": True,
-            "detail": f"skipped, enumeration needs q <= {ENUMERATION_CAP}",
+            "detail": "skipped, work estimate 1062882 over budget 1062881",
         }
     ]
+
+
+def test_verify_runs_scroll21_p_set_twin_at_29(capsys):
+    # 2 * 29^3 = 48778 points, well inside the work budget
+    argv = ["verify", "--ring", "scroll21", "--q", "29", "--suite", "counts"]
+    code, out, _ = run(capsys, argv)
+    counts = pushforward.scroll21_index_counts(context_from_q(29))
+    assert code == 0
+    assert out == f"PASS counts[q=29] P-sets vs enumeration  ({counts})\nall 1 checks passed\n"
+
+
+def test_verify_runs_veronese2_parity_twin_at_49(capsys):
+    code, out, _ = run(capsys, ["verify", "--ring", "veronese2", "--q", "49", "--suite", "counts"])
+    split = ((49 ** 3 + 1) // 2, (49 ** 3 - 1) // 2)
+    assert code == 0
+    assert out == (
+        f"PASS counts[q=49] parity split sums to q^3  ({split})\n"
+        f"PASS counts[q=49] parity counts vs enumeration  ({split})\n"
+        "all 2 checks passed\n"
+    )
+
+
+def test_verify_skips_veronese2_parity_twin_over_budget(monkeypatch):
+    monkeypatch.setattr(cli, "WORK_BUDGET", 49 ** 3 - 1)
+    record = build_verify_record(parse_ring("veronese2"), [49], "counts")
+    assert record["checks"][1] == {
+        "name": "counts[q=49] parity counts vs enumeration",
+        "ok": True,
+        "detail": f"skipped, work estimate {49 ** 3} over budget {49 ** 3 - 1}",
+    }
 
 
 def test_verify_over_budget_checks_are_skipped(capsys):
@@ -276,12 +309,12 @@ def test_verify_hilbert_passes_on_every_family(ring, q):
 @pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13, 25, 27))
 def test_verify_relations_fail_on_a_p2_triple_in_p3(monkeypatch, q):
     # the counts suite's P-set twin compares the closed counts with the
-    # literal sets, so a P(2) triple that strays into P(3) fails it
-    p1, p2, p3 = pushforward.scroll21_index_sets(context_from_q(q))
+    # literal set sizes, so a P(2) triple that strays into P(3) fails it
+    p1, p2, p3 = scroll21_p_sets(q)
     stray = min(p2)
     assert stray not in p3
     monkeypatch.setattr(
-        pushforward, "scroll21_index_sets", lambda ctx: (p1, p2, p3 | {stray})
+        lattice, "enumerate_scroll21_p_sets", lambda q_: (len(p1), len(p2), len(p3 | {stray}))
     )
     record = build_verify_record(scroll21(), [q], "counts")
     assert record["checks"] == [
@@ -291,6 +324,48 @@ def test_verify_relations_fail_on_a_p2_triple_in_p3(monkeypatch, q):
             "detail": f"{(len(p1), len(p2), len(p3))}",
         }
     ]
+
+
+def test_verify_reports_a_wrong_scroll_count_as_a_failed_row(capsys, monkeypatch):
+    # scroll_index_counts audits that the counts partition the box; its
+    # AuditFailure fails the q = 5 row, and the q = 7 rows still run
+    real = pushforward._index_set_counts
+
+    def off_by_one(family, q):
+        counts = real(family, q)
+        if family == scroll(3) and q == 5:
+            counts[next(iter(counts))] += 1
+        return counts
+
+    monkeypatch.setattr(pushforward, "_index_set_counts", off_by_one)
+    argv = ["verify", "--ring", "scroll:3", "--q", "5,7", "--suite", "counts"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err == ""
+    assert out == (
+        "FAIL counts[q=5]  (error: scroll index counts do not partition the box)\n"
+        "PASS counts[q=7] sum a_l = q^2  (49 vs 49)\n"
+        "PASS counts[q=7] a_l vs enumeration  ([17, 16, 16])\n"
+        "1 of 3 checks FAILED\n"
+    )
+
+
+def test_verify_reports_a_colength_audit_failure_as_a_failed_row(capsys, monkeypatch):
+    argv = ["verify", "--ring", "scroll:3", "--q", "5"]
+    _, passing, _ = run(capsys, argv)
+
+    def failing_audit(family, ctx):
+        raise AuditFailure("scroll colength box audit failed")
+
+    monkeypatch.setattr(oracle, "lambda_frobenius_quotient", failing_audit)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err == ""
+    lines = passing.splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("PASS colength[q=5]"))
+    lines[row] = "FAIL colength[q=5]  (error: scroll colength box audit failed)"
+    lines[-1] = f"1 of {len(lines) - 1} checks FAILED"
+    assert out.splitlines() == lines
 
 
 def test_work_budget_admits_scroll21_colength_at_729():

@@ -12,12 +12,31 @@ from frobcm.lattice import (
     enumerate_convex_polygon_points,
     enumerate_halfbox3,
     enumerate_parity_box3,
+    enumerate_scroll21_p_sets,
     pick_count,
 )
 
 
 def enumerate_pairs_sum_ge(q: int, k: int) -> int:
     return sum(1 for i in range(q) for j in range(q) if i + j >= k)
+
+
+def scroll21_p_sets(q: int):
+    """The scroll21 index sets P(1), P(2), P(3) as frozensets of triples."""
+    def p_set(i_range, keep):
+        return frozenset(
+            (i, j, k)
+            for i in i_range
+            for j in range(q)
+            for k in range(q)
+            if (i + j + k) % 2 == 0 and keep(i + j - k)
+        )
+
+    return (
+        p_set(range(q), lambda d: d >= 0),
+        p_set(range(q, 2 * q), lambda d: 0 <= d < 2 * q),
+        p_set(range(q, 2 * q), lambda d: d >= 2 * q),
+    )
 
 
 def enumerate_parity_simplex3(n: int, parity: int) -> int:
@@ -161,6 +180,12 @@ def test_parity_box3():
         assert count_parity_box3(q, 0) + count_parity_box3(q, 1) == q ** 3
     with pytest.raises(ValueError):
         count_parity_box3(4, 0)
+
+
+@pytest.mark.parametrize("q", (3, 4, 5, 8, 9, 16, 27))
+def test_scroll21_p_set_twin_counts_the_literal_sets(q):
+    # the streaming twin visits each triple once and keeps only the sizes
+    assert enumerate_scroll21_p_sets(q) == tuple(len(s) for s in scroll21_p_sets(q))
 
 
 def test_parity_simplex3():
