@@ -233,8 +233,7 @@ def cmd_decompose(args) -> int:
 def _scroll_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     if q <= family.delta:
         return [(f"counts[q={q}]", True, f"skipped, needs q > {family.delta}")]
-    ctx = context_from_q(q)
-    counts = pushforward.scroll_index_counts(family.delta, ctx)
+    counts = list(pushforward.index_set_counts(family, q).values())
     ok_sum = sum(counts) == q * q
     out = [(f"counts[q={q}] sum a_l = q^2", ok_sum, f"{sum(counts)} vs {q * q}")]
     twin = f"counts[q={q}] a_l vs enumeration"
@@ -251,8 +250,7 @@ def _scroll_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
 def _scroll21_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     if q <= 2:
         return [(f"counts[q={q}]", True, "skipped, needs q > 2")]
-    ctx = context_from_q(q)
-    counts = pushforward.scroll21_index_counts(ctx)
+    counts = tuple(pushforward.index_set_counts(family, q).values())
     name = f"counts[q={q}] P-sets vs enumeration"
     skip = _over_budget(2 * q ** 3)
     if skip:
@@ -261,8 +259,8 @@ def _scroll21_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
 
 
 def _veronese2_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
-    dec = pushforward.decompose(family, context_from_q(q), pushforward.ROUTE_PAPER)
-    a, b = dec.mult("R"), dec.mult("A")
+    counts = pushforward.index_set_counts(family, q)
+    a, b = counts["R"], counts["A"]
     out = [(f"counts[q={q}] parity split sums to q^3", a + b == q ** 3, f"({a}, {b})")]
     twin = f"counts[q={q}] parity counts vs enumeration"
     skip = _over_budget(q ** 3)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import mcm, pushforward
 from .arith import _Record
+from .errors import AuditFailure
 from .rings import FrobeniusContext, RingFamily, context_from_q
 
 _MAX_BETTI = 4  # convergence_check covers beta_1..beta_4
@@ -20,7 +21,7 @@ _MAX_BETTI = 4  # convergence_check covers beta_1..beta_4
 
 def _check(condition: bool, message: str) -> None:
     if not condition:
-        raise RuntimeError(message)
+        raise AuditFailure(message)
 
 
 def _density_sum(family: RingFamily, i: int) -> Fraction:
@@ -151,12 +152,6 @@ def convergence_check(family: RingFamily, q_list: list[int]) -> ConvergenceRepor
             add(f"fbetti_{i}", est.fbetti_est(i), lim.fbetti(i), envelope * ratio)
         if family.canonical_tag:
             # free and canonical multiplicities share the same limit
-            witness = abs(
-                Fraction(
-                    est.decomposition.free_multiplicity
-                    - est.decomposition.mult(family.canonical_tag),
-                    q ** family.krull_dim,
-                )
-            )
+            witness = abs(est.s_est - est.canonical_est)
             add("free_vs_canonical", witness, Fraction(0), envelope)
     return ConvergenceReport(family, lim, tuple(checks))

@@ -47,7 +47,11 @@ def lambda_frobenius_quotient(family: RingFamily, ctx: FrobeniusContext) -> Cole
 
 
 def colength_rows(family: RingFamily, ctx: FrobeniusContext) -> int:
-    """The number of rows ``lambda_frobenius_quotient`` scans at ctx."""
+    """The rows of the colength box at ctx: the work estimate for verify.
+
+    An upper bound on the rows ``lambda_frobenius_quotient`` scans: of the
+    box's 16 q^2 rows, the scroll21 kernel scans 9 q^2, veronese2's 4 q^2.
+    """
     bound, _ = _colength_box(family, ctx.q)
     return bound ** (family.ambient_vars - 1)
 

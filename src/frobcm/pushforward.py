@@ -8,15 +8,18 @@ tag.
   residues of the class keys its family's constructor lists for it
   (``family.index_keys``): the shifted q x q boxes of a scroll, the sets
   P(1), P(2), P(3) of scroll21 at odd p, the parity split of veronese2.
+  ``index_set_counts`` sums them per set, not per key, because one key can
+  lie under several sets: at p | delta every scroll box P(l) falls in key
+  (-l q) mod delta = 0.
 * ``residue_classes``: one minimal-generator search finds it.  The module of
   q-th roots splits as the direct sum of its residue-class submodules
   (fractional monomials with fixed exponents mod q); the first residue of
   each key is classified by reading off mu.  This route is the ground
   truth: it is defined for every q with p coprime to the grading torsion.
 
-``legal_routes`` decides where each route may run, from one precondition
-check per route; an explicitly requested route that is not legal raises that
-check's reason.  The default is residue classes where legal, else the index
+``legal_routes`` decides where each route may run, from one refusal per
+route (``_refusal``); an explicitly requested route that is not legal raises
+its refusal.  The default is residue classes where legal, else the index
 sets, else an error naming the family and q.
 
 The routes agree on scrolls and veronese2.  On scroll21 the index sets name
@@ -90,8 +93,12 @@ class Decomposition(_Record):
         return self.total_betti(0)
 
 
-def _index_set_counts(family: RingFamily, q: int) -> dict[str, int]:
-    """The size of each paper index set: the residues of its class keys."""
+def index_set_counts(family: RingFamily, q: int) -> dict[str, int]:
+    """The size of each paper index set: the residues of its class keys.
+
+    The one count behind the paper route and every verify ``counts`` row;
+    raises ValueError at a q the index sets do not cover.
+    """
     keys = family.index_keys(q)
     counts = family.class_key_counts(q)
     return {tag: sum(counts[key][0] for key in group) for tag, group in keys.items()}
@@ -105,7 +112,7 @@ def scroll_index_counts(delta: int, ctx: FrobeniusContext) -> list[int]:
     Exact for every p, including p | delta.
     """
     q = ctx.q
-    counts = list(_index_set_counts(scroll(delta), q).values())
+    counts = list(index_set_counts(scroll(delta), q).values())
     if sum(counts) != q * q:
         raise AuditFailure("scroll index counts do not partition the box")
     return counts
@@ -118,13 +125,21 @@ def scroll21_index_counts(ctx: FrobeniusContext) -> tuple[int, int, int]:
     cube; P(2) and P(3) shift i by q and split on i + j - k < 2q versus
     >= 2q.  Each is the residues of the class keys listed for it in
     ``scroll21()``, so the counts are O(1) at any q, even q included;
-    ``verify`` checks them against ``lattice.enumerate_scroll21_p_sets``.
+    ``verify`` checks the same ``index_set_counts`` against
+    ``lattice.enumerate_scroll21_p_sets``.
     """
-    return tuple(_index_set_counts(scroll21(), ctx.q).values())
+    return tuple(index_set_counts(scroll21(), ctx.q).values())
 
 
-def _paper_refusal(family: RingFamily, ctx: FrobeniusContext) -> str | None:
-    """Why the index sets cannot run at ctx, or None when they can."""
+def _refusal(family: RingFamily, ctx: FrobeniusContext, route: str) -> str | None:
+    """Why route cannot run at ctx, or None when it can."""
+    if route == ROUTE_CLASSES:
+        if family.coprime_torsion(ctx):
+            return None
+        return (
+            f"residue-class route needs p coprime to the torsion index of "
+            f"{family.label}, got p={ctx.p}"
+        )
     if ctx.p == 2 and family.index_p2_refusal:
         return family.index_p2_refusal
     try:
@@ -134,23 +149,10 @@ def _paper_refusal(family: RingFamily, ctx: FrobeniusContext) -> str | None:
     return None
 
 
-def _classes_refusal(family: RingFamily, ctx: FrobeniusContext) -> str | None:
-    """Why the residue classes cannot run at ctx, or None when they can."""
-    if family.coprime_torsion(ctx):
-        return None
-    return (
-        f"residue-class route needs p coprime to the torsion index of "
-        f"{family.label}, got p={ctx.p}"
-    )
-
-
-_REFUSALS = {ROUTE_PAPER: _paper_refusal, ROUTE_CLASSES: _classes_refusal}
-
-
 def legal_routes(family: RingFamily, ctx: FrobeniusContext) -> list[str]:
     """The routes that can run at ctx, in report order (index sets first)."""
     family.validate_context(ctx)
-    return [route for route in ROUTES if _REFUSALS[route](family, ctx) is None]
+    return [route for route in ROUTES if _refusal(family, ctx, route) is None]
 
 
 def default_route(family: RingFamily, ctx: FrobeniusContext) -> str:
@@ -180,7 +182,7 @@ def class_minimal_generators(
     returning a wrong answer.
     """
     family.validate_context(ctx)
-    refusal = _classes_refusal(family, ctx)
+    refusal = _refusal(family, ctx, ROUTE_CLASSES)
     if refusal:
         raise ValueError(refusal)
     q = ctx.q
@@ -229,11 +231,11 @@ def _decompose_cached(
     family: RingFamily, ctx: FrobeniusContext, route: str
 ) -> Decomposition:
     family.validate_context(ctx)
-    refusal = _REFUSALS[route](family, ctx)
+    refusal = _refusal(family, ctx, route)
     if refusal:
         raise ValueError(refusal)
     if route == ROUTE_PAPER:
-        counts = _paper_multiplicities(family, ctx)
+        counts = index_set_counts(family, ctx.q)
     else:
         counts = _residue_class_multiplicities(family, ctx)
     ordered = tuple(
@@ -247,11 +249,6 @@ def _decompose_cached(
             f"rank accounting failed for {family.label} at q={ctx.q}"
         )
     return dec
-
-
-def _paper_multiplicities(family: RingFamily, ctx: FrobeniusContext) -> dict[str, int]:
-    """The paper's multiplicities: each index set's class-key counts, summed."""
-    return _index_set_counts(family, ctx.q)
 
 
 def class_key_tags(

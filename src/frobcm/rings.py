@@ -235,7 +235,8 @@ def _scroll(d: int) -> RingFamily:
 
     def index_keys(q):
         # P(l) is the box l q <= i < (l + 1) q, 0 <= j < q with d | i + j;
-        # i - l q runs over the residues of key (-l q) mod d
+        # i - l q runs over the residues of key (-l q) mod d, so at p | d
+        # every P(l) lies in key 0 and the counts go per set, not per key
         if q <= d:
             raise ValueError(f"index counts need q > delta, got q={q}, delta={d}")
         return {f"M({l})": ((-l * q) % d,) for l in range(d)}

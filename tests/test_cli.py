@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import frobcm
-from frobcm import cli, lattice, mcm, oracle, pushforward
+from frobcm import cli, invariants, lattice, mcm, oracle, pushforward
 from frobcm.cli import (
     WORK_BUDGET,
     _default_families,
@@ -327,9 +327,10 @@ def test_verify_relations_fail_on_a_p2_triple_in_p3(monkeypatch, q):
 
 
 def test_verify_reports_a_wrong_scroll_count_as_a_failed_row(capsys, monkeypatch):
-    # scroll_index_counts audits that the counts partition the box; its
-    # AuditFailure fails the q = 5 row, and the q = 7 rows still run
-    real = pushforward._index_set_counts
+    # the counts rows read index_set_counts directly, so an off-by-one at
+    # q = 5 fails both of that q's rows under their own names, and the q = 7
+    # rows still run
+    real = pushforward.index_set_counts
 
     def off_by_one(family, q):
         counts = real(family, q)
@@ -337,17 +338,65 @@ def test_verify_reports_a_wrong_scroll_count_as_a_failed_row(capsys, monkeypatch
             counts[next(iter(counts))] += 1
         return counts
 
-    monkeypatch.setattr(pushforward, "_index_set_counts", off_by_one)
+    monkeypatch.setattr(pushforward, "index_set_counts", off_by_one)
     argv = ["verify", "--ring", "scroll:3", "--q", "5,7", "--suite", "counts"]
     code, out, err = run(capsys, argv)
     assert code == 1
     assert err == ""
     assert out == (
-        "FAIL counts[q=5]  (error: scroll index counts do not partition the box)\n"
+        "FAIL counts[q=5] sum a_l = q^2  (26 vs 25)\n"
+        "FAIL counts[q=5] a_l vs enumeration  ([9, 9, 8])\n"
         "PASS counts[q=7] sum a_l = q^2  (49 vs 49)\n"
         "PASS counts[q=7] a_l vs enumeration  ([17, 16, 16])\n"
-        "1 of 3 checks FAILED\n"
+        "2 of 4 checks FAILED\n"
     )
+
+
+@pytest.mark.parametrize(
+    "ring, failed",
+    (
+        ("scroll:3", ["sum a_l = q^2", "a_l vs enumeration"]),
+        ("scroll21", ["P-sets vs enumeration"]),
+        ("veronese2", ["parity split sums to q^3", "parity counts vs enumeration"]),
+    ),
+)
+def test_every_counts_row_reads_index_set_counts(capsys, monkeypatch, ring, failed):
+    real = pushforward.index_set_counts
+
+    def off_by_one(family, q):
+        counts = real(family, q)
+        counts[next(iter(counts))] += 1
+        return counts
+
+    monkeypatch.setattr(pushforward, "index_set_counts", off_by_one)
+    argv = ["verify", "--ring", ring, "--q", "5", "--suite", "counts"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    rows = out.splitlines()[:-1]
+    assert [row.split("  (")[0] for row in rows] == [
+        f"FAIL counts[q=5] {name}" for name in failed
+    ]
+
+
+def test_verify_reports_a_failed_limits_cross_check_per_row(capsys, monkeypatch):
+    # a closed form that disagrees with its density sum fails the colength and
+    # convergence rows that read the limits; the other rows still run
+    monkeypatch.setattr(invariants, "_density_sum", lambda family, i: 0)
+    code, out, err = run(capsys, ["verify", "--ring", "scroll:3", "--q", "7"])
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert [line.split("  (")[0] for line in lines] == [
+        "PASS counts[q=7] sum a_l = q^2",
+        "PASS counts[q=7] a_l vs enumeration",
+        "PASS hilbert[q=7] class dimensions vs tag series",
+        "FAIL colength[q=7]",
+        "PASS syzygy closed sets",
+        "FAIL convergence",
+        "2 of 6 checks FAILED",
+    ]
+    error = "(error: Hilbert-Kunz mismatch for scroll:3: 0 vs 2)"
+    assert lines[3].endswith(error) and lines[5].endswith(error)
 
 
 def test_verify_reports_a_colength_audit_failure_as_a_failed_row(capsys, monkeypatch):

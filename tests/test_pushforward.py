@@ -7,6 +7,7 @@ import pytest
 
 from frobcm import pushforward
 from frobcm.cli import _default_families, main
+from frobcm.errors import AuditFailure
 from frobcm.invariants import convergence_check
 from frobcm.lattice import enumerate_congruence_box
 from frobcm.mcm import class_tag_for_mu
@@ -117,6 +118,19 @@ def test_scroll_index_counts():
 def test_scroll_index_counts_need_large_q():
     with pytest.raises(ValueError):
         scroll_index_counts(3, Q3)
+
+
+def test_scroll_index_counts_audit_the_box_partition(monkeypatch):
+    real = pushforward.index_set_counts
+
+    def off_by_one(family, q):
+        counts = real(family, q)
+        counts["M(0)"] += 1
+        return counts
+
+    monkeypatch.setattr(pushforward, "index_set_counts", off_by_one)
+    with pytest.raises(AuditFailure, match="do not partition the box"):
+        scroll_index_counts(3, context_from_q(5))
 
 
 def test_scroll21_index_counts():
