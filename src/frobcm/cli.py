@@ -68,13 +68,17 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _q_list(text: str) -> list[int]:
-    """argparse type for ``--q``: comma separated integers."""
+    """argparse type for ``--q``: comma separated integers, each given once."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        q_list = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma separated prime powers, got {text!r}"
         ) from None
+    for i, q in enumerate(q_list):
+        if q in q_list[:i]:
+            raise argparse.ArgumentTypeError(f"q={q} is repeated")
+    return q_list
 
 
 def _dump(record: dict) -> str:
@@ -347,8 +351,14 @@ def _suite_colength(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
 
 
 def _suite_convergence(family: RingFamily, q_list: list[int]) -> list[tuple[str, bool, str]]:
-    report = invariants.convergence_check(family, q_list)
-    return [(c.describe().split("] ", 1)[1], c.ok, "") for c in report.checks]
+    rows = []
+    for c in invariants.convergence_check(family, q_list).checks:
+        name = (
+            f"q={c.q} {c.name}: estimate {c.estimate} vs limit {c.limit}, "
+            f"gap {c.gap} {'<=' if c.ok else '>'} {c.bound}"
+        )
+        rows.append((name, c.ok, ""))
+    return rows
 
 
 def build_verify_record(family: RingFamily, q_list: list[int], suite: str) -> dict:

@@ -4,7 +4,9 @@ The limits (F-signature, Hilbert-Kunz multiplicity, Frobenius Betti numbers)
 are exact rationals.  Each closed form is recomputed internally from the
 asymptotic class densities times the catalog Betti numbers; the two
 derivations must agree exactly.  Finite-q estimates divide decomposition
-data by q**dim and converge to the limits inside explicit 4/q envelopes.
+data by q**dim and converge to the limits; ``convergence_check`` holds them
+to fixed 4/q envelopes, which the scroll Betti estimates fail at small q
+once delta >= 7 (see its docstring).
 """
 
 from __future__ import annotations
@@ -26,10 +28,7 @@ def _check(condition: bool, message: str) -> None:
 
 def _density_sum(family: RingFamily, i: int) -> Fraction:
     """Sum over the classes of density times beta_i; i = 0 sums mu (e_HK)."""
-    return sum(
-        density * mcm.class_by_tag(family, tag).betti(i)
-        for tag, density in family.densities
-    )
+    return sum(cls.density * cls.betti(i) for cls in mcm.catalog(family))
 
 
 class InvariantReport(_Record):
@@ -54,8 +53,7 @@ class InvariantReport(_Record):
 def limits(family: RingFamily) -> InvariantReport:
     """Closed-form limits, cross-checked against the density derivation."""
     s, ehk = family.s, family.ehk
-    free_density = dict(family.densities)[mcm.free_class(family).tag]
-    _check(free_density == s, f"free density is not s for {family.label}")
+    _check(mcm.free_class(family).density == s, f"free density is not s for {family.label}")
     ehk_from_densities = _density_sum(family, 0)
     _check(
         ehk_from_densities == ehk,
@@ -80,7 +78,7 @@ class FiniteQEstimates(_Record):
 
     def fbetti_est(self, i: int) -> Fraction:
         return Fraction(
-            self.decomposition.total_betti(i), self.ctx.q ** self.family.krull_dim
+            self.decomposition.total_betti(i), self.ctx.q ** self.family.ambient_vars
         )
 
 
@@ -88,7 +86,7 @@ def finite_q_estimates(
     family: RingFamily, ctx: FrobeniusContext, route: str | None = None
 ) -> FiniteQEstimates:
     dec = pushforward.decompose(family, ctx, route)
-    scale = ctx.q ** family.krull_dim
+    scale = ctx.q ** family.ambient_vars
     s_est = Fraction(dec.free_multiplicity, scale)
     ehk_est = Fraction(dec.total_min_generators(), scale)
     canonical = None
@@ -105,10 +103,10 @@ class ConvergenceCheck(_Record):
         return abs(self.estimate - self.limit)
 
     def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL"
+        status, relation = ("ok", "<=") if self.ok else ("FAIL", ">")
         return (
             f"[{status}] q={self.q} {self.name}: estimate {self.estimate} vs "
-            f"limit {self.limit}, gap {self.gap} <= {self.bound}"
+            f"limit {self.limit}, gap {self.gap} {relation} {self.bound}"
         )
 
 
@@ -124,14 +122,20 @@ class ConvergenceReport(_Record):
 
 
 def convergence_check(family: RingFamily, q_list: list[int]) -> ConvergenceReport:
-    """Verify the 4/q convergence envelopes at each q.
+    """Check the estimates at each q against fixed 4/q envelopes.
 
-    The envelopes are deliberately generous fixed bounds: the scroll free
-    class error is at most 1/q by per-residue congruence counting, the
-    veronese2 error is exactly 1/(2 q^3), and the scroll21 errors come from
-    O(q^2) boundary layers.  For i >= 1 the Betti envelope scales the 4/q
-    bound by the growth ratio of the limits.  Failing any bound is reported,
-    not raised.
+    For i >= 1 the Betti envelope scales the 4/q bound by the growth ratio
+    of the limits.  The scroll free class error is at most 1/q by
+    per-residue congruence counting, the veronese2 error is exactly
+    1/(2 q^3), and the scroll21 errors come from O(q^2) boundary layers.
+    The envelopes are guesses, not proven bounds, and for large delta they
+    are too tight at small q: the scroll fbetti_1..4 checks fail at
+    delta = 7 for q = 3, 4, 5; delta = 8 for q = 3, 5; delta = 9 for
+    q = 4, 5, 7; delta = 10 for q = 3, 7, 11, 16, 17; delta = 11 up to
+    q = 19 and delta = 12 up to q = 32.  For delta <= 6 they hold at every
+    prime power q <= 49 where a route is legal.  The scroll Betti error is
+    O(1/q^2) with a constant that grows like delta^2 (ROADMAP item 3).
+    Failing any bound is reported, not raised.
     """
     lim = limits(family)
     checks: list[ConvergenceCheck] = []

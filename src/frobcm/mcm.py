@@ -1,8 +1,9 @@
 """Catalog of indecomposable maximal Cohen-Macaulay modules per ring family.
 
-Each family's constructor in ``rings`` records its catalog rows, Betti growth
-ratio and recurrences, and graded Hilbert series where one is available; this
-module turns them into ``SummandClass`` values and evaluates them.
+Each family's constructor in ``rings`` records its Betti growth ratio and
+recurrences and one catalog row per class: its mu, rank, first Betti number,
+limiting density and graded Hilbert series where one is available.  This
+module turns the rows into ``SummandClass`` values and evaluates them.
 
 Tags follow the conventional letters: "M(l)" for the scroll modules (with
 "M(0)" the free class), and "R", "A", "B", "C", "D" for the three-dimensional
@@ -22,8 +23,10 @@ class UnsupportedClassError(ValueError):
 
 
 class SummandClass(_Record):
-    # beta1 is the first Betti number; beta_i grows by family.betti_ratio after it
-    __slots__ = ("family", "tag", "mu", "rank", "beta1")
+    # beta1 is the first Betti number; beta_i grows by family.betti_ratio after
+    # it.  density is the limiting multiplicity / q^dim, 0 where it is not
+    # positive; series is the graded Hilbert series, None where none is recorded.
+    __slots__ = ("family", "tag", "mu", "rank", "beta1", "density", "series")
 
     def betti(self, i: int) -> int:
         """i-th Betti number from the closed forms."""
@@ -86,10 +89,9 @@ def recurrence_residuals(family: RingFamily, i: int) -> list[int]:
 def module_hilbert_series(cls: SummandClass) -> HilbertSeries:
     """Graded Hilbert series of the class, where its family records one: all
     but scroll21's C and D (its other rows are derived here, not in the paper)."""
-    series = dict(cls.family.hilbert).get(cls.tag)
-    if series is None:
+    if cls.series is None:
         raise UnsupportedClassError(f"no Hilbert series recorded for {cls}")
-    return series
+    return cls.series
 
 
 class ScrollSyzygy(_Record):

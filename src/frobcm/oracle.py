@@ -43,7 +43,7 @@ def lambda_frobenius_quotient(family: RingFamily, ctx: FrobeniusContext) -> Cole
     q = ctx.q
     bound, band = _colength_box(family, q)
     count = _COLENGTH_KERNELS[family.kind](family, q, bound, band)
-    return ColengthResult(family, ctx, count, Fraction(count, q ** family.krull_dim))
+    return ColengthResult(family, ctx, count, Fraction(count, q ** family.ambient_vars))
 
 
 def colength_rows(family: RingFamily, ctx: FrobeniusContext) -> int:
@@ -58,7 +58,7 @@ def colength_rows(family: RingFamily, ctx: FrobeniusContext) -> int:
 
 def _colength_box(family: RingFamily, q: int) -> tuple[int, int]:
     """The box bound 2 q G and the start of its audited outer layer."""
-    bound = 2 * q * max(c for g in family.generators() for c in g)
+    bound = 2 * q * max(c for g in family.generators for c in g)
     return bound, bound - q
 
 
@@ -183,7 +183,7 @@ def min_gens_pushforward(family: RingFamily, ctx: FrobeniusContext) -> int:
     n = family.ambient_vars
     factor = family.torsion_index + 2
     contains = family.contains
-    scaled = [tuple(q * c for c in g) for g in family.generators()]
+    scaled = [tuple(q * c for c in g) for g in family.generators]
     total = 0
     for residue in itertools.product(range(q), repeat=n):
         points = []

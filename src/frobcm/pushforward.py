@@ -192,7 +192,7 @@ def class_minimal_generators(
     if not all(0 <= r < q for r in residue):
         raise ValueError(f"residue coordinates must lie in [0, q), got {residue}")
     factor = family.torsion_index + 2
-    scaled = [tuple(q * g_i for g_i in g) for g in family.generators()]
+    scaled = [tuple(q * g_i for g_i in g) for g in family.generators]
     contains = family.contains
     minimal = []
     for steps in itertools.product(range(factor), repeat=n):
@@ -244,7 +244,7 @@ def _decompose_cached(
         if counts.get(cls.tag, 0) > 0
     )
     dec = Decomposition(family, ctx, route, ordered)
-    if route == ROUTE_CLASSES and dec.total_rank() != ctx.q ** family.krull_dim:
+    if route == ROUTE_CLASSES and dec.total_rank() != ctx.q ** family.ambient_vars:
         raise AuditFailure(
             f"rank accounting failed for {family.label} at q={ctx.q}"
         )

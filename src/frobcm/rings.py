@@ -3,11 +3,12 @@
 A family is described in one place, its constructor: ``scroll(delta)``,
 ``scroll21()`` and ``veronese2()`` each build one ``RingFamily`` with the
 membership predicate, the algebra generators (exponent vectors, plain integer
-tuples) and all the other modules read about it: the catalog of MCM classes,
-their densities, the limits, Hilbert series (scroll21's derived here, not in
-the paper), Betti recurrences, the
-residue class key with its closed per-key counts, and the paper's index sets
-as the class keys whose residues each set counts.
+tuples) and all the other modules read about it: the limits, Betti
+recurrences, the residue class key with its closed per-key counts, the
+paper's index sets as the class keys whose residues each set counts, and the
+catalog of MCM classes, one row per class with its mu, rank, first Betti
+number, limiting density and Hilbert series (scroll21's derived here, not in
+the paper).
 
 * ``scroll(delta)``: subalgebra of k[x, y] spanned by monomials whose total
   degree is a multiple of delta; generators x^delta, x^(delta-1) y, ..., y^delta.
@@ -108,24 +109,23 @@ class RingFamily(_Record):
     __slots__ = (
         "kind",
         "delta",
-        "label",
-        "ambient_vars",
+        "ambient_vars",  # also the Krull dimension: each semigroup spans its lattice
         "torsion_index",  # the residue classes need p prime to it
-        "gens",
+        "generators",  # exponent vectors of the algebra generators
         "member",  # member(vec) on vectors >= 0
         "p2_refusal",  # why p = 2 has no theory, if it has none
-        # Catalog rows (tag, mu, rank, beta_1), free class first, in reporting
-        # order; for i >= 1 every class has beta_i = beta_1 * betti_ratio^(i - 1).
+        # Catalog rows (tag, mu, rank, beta_1, density, series), free class
+        # first, in reporting order: density is the limiting multiplicity / q^dim
+        # (0 where it is not positive), series the graded Hilbert series (None
+        # where none is recorded); for i >= 1 every class has
+        # beta_i = beta_1 * betti_ratio^(i - 1).
         "classes",
         "betti_ratio",
-        # (tag, limiting multiplicity / q^dim) for the classes of positive density
-        "densities",
         "s",
         "ehk",
         "fbetti",  # fbetti(i): closed form for i >= 1
         "fbetti_text",
         "canonical_tag",
-        "hilbert",  # (tag, HilbertSeries) rows
         # recurrences(betti, i) evaluates every Betti recurrence valid at index
         # i, given betti(tag, i); all of them vanish when the catalog is right
         "recurrences",
@@ -159,13 +159,8 @@ class RingFamily(_Record):
         return hash((self.kind, self.delta))
 
     @property
-    def krull_dim(self) -> int:
-        """The d of every q**d normalization: each semigroup spans its lattice."""
-        return self.ambient_vars
-
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """Exponent vectors of the algebra generators."""
-        return self.gens
+    def label(self) -> str:
+        return self.kind if self.delta is None else f"{self.kind}:{self.delta}"
 
     def contains(self, vec: tuple[int, ...]) -> bool:
         """True when the monomial with these exponents lies in the ring.
@@ -180,22 +175,6 @@ class RingFamily(_Record):
             return False
         return self.member(vec)
 
-    def frobenius_power_contains(self, vec: tuple[int, ...], ctx: FrobeniusContext) -> bool:
-        """Membership in the Frobenius power of the maximal ideal.
-
-        A ring monomial lies in m^[q] exactly when subtracting q times some
-        algebra generator leaves a ring monomial; the finite search over
-        generators decides it.
-        """
-        if not self.contains(vec):
-            raise ValueError(f"{vec} is not a monomial of {self.label}")
-        q = ctx.q
-        for g in self.generators():
-            diff = tuple(a - q * b for a, b in zip(vec, g))
-            if min(diff) >= 0 and self.contains(diff):
-                return True
-        return False
-
     def validate_context(self, ctx: FrobeniusContext) -> None:
         """Reject characteristic/family combinations that have no theory."""
         if ctx.p == 2 and self.p2_refusal:
@@ -206,8 +185,7 @@ class RingFamily(_Record):
 
     def __reduce__(self):
         # through the constructors, so even RingFamily("scroll", 3) loads as scroll(3)
-        name = self.kind if self.delta is None else f"{self.kind}:{self.delta}"
-        return parse_ring, (name,)
+        return parse_ring, (self.label,)
 
 
 def scroll(delta: int) -> RingFamily:
@@ -241,7 +219,8 @@ def _scroll(d: int) -> RingFamily:
             raise ValueError(f"index counts need q > delta, got q={q}, delta={d}")
         return {f"M({l})": ((-l * q) % d,) for l in range(d)}
 
-    # sum_{k>=0} (k d + l + 1) t^(k d + l) in closed form
+    # the classes keep the ambient grading: sum_{k>=0} (k d + l + 1) t^(k d + l)
+    # in closed form, over (1 - t^d)^2
     def series(l):
         num = Polynomial.monomial(l + 1, l) + Polynomial.monomial(d - 1 - l, l + d)
         return HilbertSeries(num, 2, base=d)
@@ -249,20 +228,18 @@ def _scroll(d: int) -> RingFamily:
     return RingFamily(
         SCROLL,
         d,
-        label=f"scroll:{d}",
         ambient_vars=2,
         torsion_index=d,
-        gens=tuple((d - k, k) for k in range(d + 1)),
+        generators=tuple((d - k, k) for k in range(d + 1)),
         member=lambda v: (v[0] + v[1]) % d == 0,
-        classes=tuple((f"M({l})", l + 1, 1, d * l) for l in range(d)),
+        classes=tuple(
+            (f"M({l})", l + 1, 1, d * l, Fraction(1, d), series(l)) for l in range(d)
+        ),
         betti_ratio=d - 1,
-        densities=tuple((f"M({l})", Fraction(1, d)) for l in range(d)),
         s=Fraction(1, d),
         ehk=Fraction(d + 1, 2),
         fbetti=lambda i: Fraction(d * (d - 1) ** i, 2),
         fbetti_text=f"{d}*{d - 1}^i/2",
-        # the classes keep the ambient grading, over (1 - t^d)^2
-        hilbert=tuple((f"M({l})", series(l)) for l in range(d)),
         recurrences=recurrences,
         # the residue degree mod delta fixes the class
         class_key=lambda q, r: (r[0] + r[1]) % d,
@@ -324,44 +301,33 @@ def _scroll21() -> RingFamily:
             "BorC": ((1, parity),),
         }
 
+    b_series = HilbertSeries(Polynomial((0, 0, 0, 3)), 3)
     return RingFamily(
         SCROLL21,
-        label=SCROLL21,
         ambient_vars=3,
         torsion_index=2,
-        gens=((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)),
+        generators=((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)),
         member=lambda v: (v[0] + v[1] + v[2]) % 2 == 0 and v[0] + v[1] >= v[2],
+        # Each series is derived here, not in the paper, grading x^i y^j z^k by
+        # (i + j + k) / 2: A = R.dual() is the canonical class; B = Omega(A),
+        # the kernel of R(-2)^2 -> A, has 2 t^2 H(R) - H(A).  C and D have none.
         # "BorC" is a deliberate merged tag: B and C share mu, rank, and the
-        # whole Betti sequence, and nothing downstream distinguishes them.
+        # whole Betti sequence, and nothing downstream distinguishes them; it
+        # takes B's series, since C's differs from it by a shift.
         classes=(
-            ("R", 1, 1, 0),
-            ("A", 2, 1, 3),
-            ("B", 3, 1, 6),
-            ("C", 3, 1, 6),
-            ("BorC", 3, 1, 6),
-            ("D", 6, 2, 12),
+            ("R", 1, 1, 0, Fraction(5, 12), HilbertSeries(Polynomial((1, 2)), 3)),
+            ("A", 2, 1, 3, Fraction(5, 12), HilbertSeries(Polynomial((0, 0, 2, 1)), 3)),
+            ("B", 3, 1, 6, 0, b_series),
+            ("C", 3, 1, 6, 0, None),
+            ("BorC", 3, 1, 6, Fraction(1, 6), b_series),
+            ("D", 6, 2, 12, 0, None),
         ),
         betti_ratio=2,
-        densities=(
-            ("R", Fraction(5, 12)),
-            ("A", Fraction(5, 12)),
-            ("BorC", Fraction(1, 6)),
-        ),
         s=Fraction(5, 12),
         ehk=Fraction(7, 4),
         fbetti=lambda i: Fraction(9 * 2 ** (i - 1), 4),
         fbetti_text="9*2^(i-1)/4",
         canonical_tag="A",
-        # Each row is derived here, not in the paper, grading x^i y^j z^k by
-        # (i + j + k) / 2: A = R.dual() is the canonical class; B = Omega(A),
-        # the kernel of R(-2)^2 -> A, has 2 t^2 H(R) - H(A); BorC takes B's
-        # series, since C's differs from it by a shift.  C and D have none.
-        hilbert=(
-            ("R", HilbertSeries(Polynomial((1, 2)), 3)),
-            ("A", HilbertSeries(Polynomial((0, 0, 2, 1)), 3)),
-            ("B", HilbertSeries(Polynomial((0, 0, 0, 3)), 3)),
-            ("BorC", HilbertSeries(Polynomial((0, 0, 0, 3)), 3)),
-        ),
         recurrences=recurrences,
         class_key=class_key,
         class_key_counts=class_key_counts,
@@ -390,28 +356,25 @@ def _veronese2() -> RingFamily:
 
     return RingFamily(
         VERONESE2,
-        label=VERONESE2,
         ambient_vars=3,
         torsion_index=2,
-        gens=((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)),
+        generators=((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)),
         member=lambda v: (v[0] + v[1] + v[2]) % 2 == 0,
         p2_refusal=(
             "veronese2 needs odd characteristic: in characteristic two the "
             "ring is not the invariant ring of a sign action"
         ),
-        classes=(("R", 1, 1, 0), ("A", 3, 1, 8), ("B", 8, 2, 24)),
+        classes=(
+            ("R", 1, 1, 0, Fraction(1, 2), HilbertSeries(Polynomial((1, 3)), 3)),
+            ("A", 3, 1, 8, Fraction(1, 2), HilbertSeries(Polynomial((0, 0, 3, 1)), 3)),
+            ("B", 8, 2, 24, 0, HilbertSeries(Polynomial((0, 0, 0, 8)), 3)),
+        ),
         betti_ratio=3,
-        densities=(("R", Fraction(1, 2)), ("A", Fraction(1, 2))),
         s=Fraction(1, 2),
         ehk=Fraction(2),
         fbetti=lambda i: Fraction(4 * 3 ** (i - 1)),
         fbetti_text="4*3^(i-1)",
         canonical_tag="A",
-        hilbert=(
-            ("R", HilbertSeries(Polynomial((1, 3)), 3)),
-            ("A", HilbertSeries(Polynomial((0, 0, 3, 1)), 3)),
-            ("B", HilbertSeries(Polynomial((0, 0, 0, 8)), 3)),
-        ),
         recurrences=recurrences,
         # the parity of the residue degree fixes the class
         class_key=lambda q, r: sum(r) % 2,

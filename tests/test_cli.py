@@ -454,6 +454,32 @@ def test_verify_non_integer_q(capsys):
     )
 
 
+@pytest.mark.parametrize("q_text", ["3,3", "3,5,3", "5,3,5"])
+def test_verify_rejects_a_repeated_q(capsys, q_text):
+    # a repeated q would run and print every one of its rows twice
+    code, out, err = run(capsys, ["verify", "--ring", "scroll:2", "--q", q_text])
+    assert code == 2
+    assert out == ""
+    repeated = q_text.split(",")[0]
+    assert err.splitlines()[-1] == (
+        f"frobcm verify: error: argument --q: q={repeated} is repeated"
+    )
+
+
+def test_verify_fail_rows_state_the_broken_bound(capsys):
+    argv = ["verify", "--ring", "scroll:10", "--q", "16", "--suite", "convergence"]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["ok"] for c in checks] == [True, True, False, False, False, False]
+    for check in checks:
+        assert (" <= " in check["name"]) == check["ok"]
+        assert (" > " in check["name"]) == (not check["ok"])
+    assert checks[2]["name"] == (
+        "q=16 fbetti_1: estimate 725/16 vs limit 45, gap 5/16 > 1/4"
+    )
+
+
 def test_verify_bad_ring(capsys):
     code, _, err = run(capsys, ["verify", "--ring", "grassmannian", "--q", "3"])
     assert code == 2

@@ -26,7 +26,10 @@ their convergence detail changed, to "no decomposition route is legal".
 All 44 verify files were written again when one per-class ``hilbert`` row
 replaced the ``iso`` and ``relations`` rows: only those rows, the veronese2
 ``syzygy`` row and scroll21's deleted ``halfspace box formula`` and
-``layer reduction`` counts rows changed.
+``layer reduction`` counts rows changed.  The eight files with failing
+``fbetti_i`` convergence rows (scroll-7 q3 and q5, scroll-8 q3 and q5,
+scroll-9 q5 and q7, scroll-10 q3 and q7) were written again when a failing
+row learned to read ``gap X > B``: only ``<=`` turned into ``>`` in those rows.
 """
 
 import json

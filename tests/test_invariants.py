@@ -102,6 +102,17 @@ def test_convergence_report_details():
         assert check.describe().startswith("[ok]")
 
 
+def test_failing_check_states_the_broken_bound():
+    report = convergence_check(scroll(10), [16])
+    assert [c.name for c in report.failures()] == [f"fbetti_{i}" for i in range(1, 5)]
+    assert report.failures()[0].describe() == (
+        "[FAIL] q=16 fbetti_1: estimate 725/16 vs limit 45, gap 5/16 > 1/4"
+    )
+    for check in report.checks:
+        assert (" <= " in check.describe()) == check.ok
+        assert (" > " in check.describe()) == (not check.ok)
+
+
 def test_free_class_density_tracks_signature():
     for family in (scroll(2), scroll(4), scroll21(), veronese2()):
         lim = limits(family)

@@ -1,6 +1,7 @@
 import pytest
 
 from frobcm.arith import HilbertSeries, Polynomial
+from frobcm.invariants import limits
 from frobcm.mcm import (
     UnsupportedClassError,
     catalog,
@@ -11,7 +12,8 @@ from frobcm.mcm import (
     recurrence_residuals,
     scroll_syzygy_generators,
 )
-from frobcm.rings import scroll, scroll21, veronese2
+from frobcm.pushforward import ROUTE_CLASSES, decompose
+from frobcm.rings import context_from_q, scroll, scroll21, veronese2
 
 
 def test_catalog_mu_and_rank():
@@ -28,6 +30,21 @@ def test_catalog_mu_and_rank():
     by_tag = {c.tag: c for c in catalog(veronese2())}
     assert {t: c.mu for t, c in by_tag.items()} == {"R": 1, "A": 3, "B": 8}
     assert by_tag["B"].rank == 2
+
+
+def test_each_catalog_row_carries_its_density_and_series():
+    # the positive-density classes are the tags the residue route reports
+    for family in (scroll(2), scroll(5), scroll21(), veronese2()):
+        dec = decompose(family, context_from_q(11), ROUTE_CLASSES)
+        positive = [cls.tag for cls in catalog(family) if cls.density > 0]
+        assert positive == [tag for tag, count in dec.multiplicities if count > 0]
+        assert free_class(family).density == limits(family).s
+        for cls in catalog(family):
+            if cls.series is None:
+                with pytest.raises(UnsupportedClassError):
+                    module_hilbert_series(cls)
+            else:
+                assert module_hilbert_series(cls) is cls.series
 
 
 def test_free_class():

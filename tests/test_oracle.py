@@ -27,6 +27,7 @@ from frobcm.rings import (
     scroll21,
     veronese2,
 )
+from test_rings import in_frobenius_power
 
 Q3 = FrobeniusContext(3, 1)
 
@@ -63,15 +64,31 @@ def test_lambda_matches_direct_enumeration():
             if family == veronese2() and q % 2 == 0:
                 continue  # veronese2 needs odd characteristic
             ctx = context_from_q(q)
-            bound = 2 * q * max(c for g in family.generators() for c in g)
+            bound = 2 * q * max(c for g in family.generators for c in g)
             n = family.ambient_vars
             count = 0
             for point in product(range(bound), repeat=n):
-                if family.contains(point) and not family.frobenius_power_contains(
-                    point, ctx
-                ):
+                if family.contains(point) and not in_frobenius_power(family, point, q):
                     count += 1
             assert lambda_frobenius_quotient(family, ctx).colength == count
+
+
+ODD_Q = (3, 5, 7, 9, 11, 13, 25, 27, 49, 81)
+LAMBDA_AT_ODD_Q = {
+    "scroll21": lambda q: (
+        Fraction(7, 4) * q ** 3 - Fraction(1, 8) * q ** 2 - Fraction(1, 4) * q - Fraction(3, 8)
+    ),
+    "veronese2": lambda q: 2 * q ** 3 - 1,
+    "scroll:2": lambda q: Fraction(3, 2) * q ** 2 - Fraction(1, 2),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(LAMBDA_AT_ODD_Q))
+def test_lambda_is_a_quasi_polynomial_at_odd_q(ring):
+    family = parse_ring(ring)
+    for q in ODD_Q:
+        lam = lambda_frobenius_quotient(family, context_from_q(q)).colength
+        assert lam == LAMBDA_AT_ODD_Q[ring](q), (ring, q)
 
 
 # Point-by-point stepping twins of the row kernels: each visits every member

@@ -229,7 +229,7 @@ def test_decompose_rank_accounting():
             if gcd(ctx.p, family.torsion_index) != 1:
                 continue
             dec = decompose(family, ctx, ROUTE_CLASSES)
-            assert dec.total_rank() == q ** family.krull_dim
+            assert dec.total_rank() == q ** family.ambient_vars
 
 
 def test_scroll21_free_classes_match_index_set():

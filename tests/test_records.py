@@ -52,9 +52,10 @@ RECORDS = [
     (lambda: FrobeniusContext(3, 2), "e", "FrobeniusContext(p=3, e=2)"),
     (lambda: RingFamily("scroll", 3), "delta", S3),
     (
-        lambda: SummandClass(scroll(3), "M(1)", 2, 1, 3),
+        lambda: SummandClass(scroll(3), "M(1)", 2, 1, 3, Fraction(1, 3), None),
         "mu",
-        f"SummandClass(family={S3}, tag='M(1)', mu=2, rank=1, beta1=3)",
+        f"SummandClass(family={S3}, tag='M(1)', mu=2, rank=1, beta1=3, "
+        "density=Fraction(1, 3), series=None)",
     ),
     (
         lambda: ScrollSyzygy((2, 1), 1, (3, 0), 2),
