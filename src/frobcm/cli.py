@@ -89,20 +89,23 @@ def _default_families() -> list[str]:
     return [f"scroll:{d}" for d in range(2, 11)] + [SCROLL21, "veronese2"]
 
 
+def _table1_values(family: RingFamily, max_i: int) -> list[Fraction]:
+    """s, e_HK, then beta_1^F .. beta_max_i^F."""
+    lim = invariants.limits(family)
+    return [lim.s, lim.ehk] + [lim.fbetti(i) for i in range(1, max_i + 1)]
+
+
 def build_table1_record(families: list[RingFamily], max_i: int) -> dict:
     rows = []
     for family in families:
-        lim = invariants.limits(family)
+        s, ehk, *fbetti = _table1_values(family, max_i)
         rows.append(
             {
                 "family": family.label,
-                "s": _rational_json(lim.s),
-                "ehk": _rational_json(lim.ehk),
+                "s": _rational_json(s),
+                "ehk": _rational_json(ehk),
                 "fbetti_closed_form": family.fbetti_text,
-                "fbetti": {
-                    str(i): _rational_json(lim.fbetti(i))
-                    for i in range(1, max_i + 1)
-                },
+                "fbetti": {str(i): _rational_json(v) for i, v in enumerate(fbetti, 1)},
             }
         )
     return {
@@ -112,50 +115,37 @@ def build_table1_record(families: list[RingFamily], max_i: int) -> dict:
     }
 
 
-def _table1_lines(record: dict, max_i: int, header: list[str]) -> list[list[str]]:
-    """The header, then one row of cells per family."""
-    lines = [header + [f"beta_{i}" for i in range(1, max_i + 1)]]
-    for row in record["rows"]:
-        lines.append(
-            [
-                row["family"],
-                _fraction_from_json(row["s"]),
-                _fraction_from_json(row["ehk"]),
-                row["fbetti_closed_form"],
-            ]
-            + [_fraction_from_json(row["fbetti"][str(i)]) for i in range(1, max_i + 1)]
-        )
-    return lines
-
-
-def _render_table1_text(record: dict, max_i: int) -> str:
-    lines = _table1_lines(record, max_i, ["family", "s", "e_HK", "beta_i^F (i>=1)"])
-    widths = [max(len(line[col]) for line in lines) for col in range(len(lines[0]))]
-    return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-        for line in lines
-    )
-
-
-def _render_table1_csv(record: dict, max_i: int) -> str:
-    lines = _table1_lines(record, max_i, ["family", "s", "ehk", "fbetti_closed_form"])
-    return "\n".join(",".join(line) for line in lines)
-
-
-def _fraction_from_json(obj: dict) -> str:
-    return str(Fraction(obj["num"], obj["den"]))
-
-
 def cmd_table1(args) -> int:
     families = [parse_ring(text) for text in args.families.split(",")]
-    record = build_table1_record(families, args.max_i)
     if args.format == "json":
-        print(_dump(record))
-    elif args.format == "csv":
-        print(_render_table1_csv(record, args.max_i))
-    else:
-        print(_render_table1_text(record, args.max_i))
+        print(_dump(build_table1_record(families, args.max_i)))
+        return 0
+    header = ["family", "s", "ehk", "fbetti_closed_form"]
+    if args.format == "text":
+        header = ["family", "s", "e_HK", "beta_i^F (i>=1)"]
+    lines = [header + [f"beta_{i}" for i in range(1, args.max_i + 1)]]
+    for family in families:
+        s, ehk, *fbetti = map(str, _table1_values(family, args.max_i))
+        lines.append([family.label, s, ehk, family.fbetti_text] + fbetti)
+    if args.format == "csv":
+        print("\n".join(",".join(line) for line in lines))
+        return 0
+    widths = [max(len(line[col]) for line in lines) for col in range(len(lines[0]))]
+    for line in lines:
+        print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
     return 0
+
+
+def _route_diff(multiplicities: list[dict[str, int]]) -> dict[str, int] | None:
+    """Per tag where two routes differ, the second's count minus the first's."""
+    if len(multiplicities) != 2:
+        return None
+    a, b = multiplicities
+    return {
+        tag: b.get(tag, 0) - a.get(tag, 0)
+        for tag in sorted(set(a) | set(b))
+        if b.get(tag, 0) != a.get(tag, 0)
+    } or None
 
 
 def build_decompose_record(
@@ -177,14 +167,6 @@ def build_decompose_record(
                 },
             },
         }
-    diff = None
-    if len(routes) == 2:
-        a, b = (per_route[route]["multiplicities"] for route in routes)
-        diff = {
-            tag: b.get(tag, 0) - a.get(tag, 0)
-            for tag in sorted(set(a) | set(b))
-            if b.get(tag, 0) != a.get(tag, 0)
-        } or None
     return {
         "artifact_version": __version__,
         "command": {
@@ -196,7 +178,7 @@ def build_decompose_record(
             "routes": list(routes),
         },
         "decompositions": per_route,
-        "route_diff": diff,
+        "route_diff": _route_diff([per_route[r]["multiplicities"] for r in routes]),
     }
 
 
@@ -209,28 +191,21 @@ def cmd_decompose(args) -> int:
             pushforward.default_route(family, ctx)  # raises: no route is legal
     else:
         routes = [pushforward.ROUTE_PAPER if args.route == "paper" else pushforward.ROUTE_CLASSES]
-    record = build_decompose_record(family, ctx, routes, args.max_i)
     if args.format == "json":
-        print(_dump(record))
-    else:
-        print(f"ring {family.label}, p={ctx.p}, e={ctx.e}, q={ctx.q}")
-        for route, payload in record["decompositions"].items():
-            mults = " ".join(
-                f"{tag}={count}" for tag, count in payload["multiplicities"].items()
-            )
-            print(f"  route {route}: {mults}")
-            est = payload["estimates"]
-            print(
-                "    estimates: s_est="
-                + _fraction_from_json(est["s"])
-                + ", ehk_est="
-                + _fraction_from_json(est["ehk"])
-            )
-        if record["route_diff"]:
-            diffs = " ".join(f"{k}:{v:+d}" for k, v in record["route_diff"].items())
-            print(f"  route diff (classes minus paper): {diffs}")
-        elif len(routes) == 2:
-            print("  routes agree exactly")
+        print(_dump(build_decompose_record(family, ctx, routes, args.max_i)))
+        return 0
+    print(f"ring {family.label}, p={ctx.p}, e={ctx.e}, q={ctx.q}")
+    estimates = [invariants.finite_q_estimates(family, ctx, route) for route in routes]
+    for route, est in zip(routes, estimates):
+        mults = " ".join(f"{tag}={count}" for tag, count in est.decomposition.multiplicities)
+        print(f"  route {route}: {mults}")
+        print(f"    estimates: s_est={est.s_est}, ehk_est={est.ehk_est}")
+    diff = _route_diff([est.decomposition.as_dict() for est in estimates])
+    if diff:
+        diffs = " ".join(f"{k}:{v:+d}" for k, v in diff.items())
+        print(f"  route diff (classes minus paper): {diffs}")
+    elif len(routes) == 2:
+        print("  routes agree exactly")
     return 0
 
 
@@ -351,14 +326,7 @@ def _suite_colength(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
 
 
 def _suite_convergence(family: RingFamily, q_list: list[int]) -> list[tuple[str, bool, str]]:
-    rows = []
-    for c in invariants.convergence_check(family, q_list).checks:
-        name = (
-            f"q={c.q} {c.name}: estimate {c.estimate} vs limit {c.limit}, "
-            f"gap {c.gap} {'<=' if c.ok else '>'} {c.bound}"
-        )
-        rows.append((name, c.ok, ""))
-    return rows
+    return [(c.describe(), c.ok, "") for c in invariants.convergence_check(family, q_list).checks]
 
 
 def build_verify_record(family: RingFamily, q_list: list[int], suite: str) -> dict:

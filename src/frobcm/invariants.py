@@ -103,10 +103,10 @@ class ConvergenceCheck(_Record):
         return abs(self.estimate - self.limit)
 
     def describe(self) -> str:
-        status, relation = ("ok", "<=") if self.ok else ("FAIL", ">")
+        """The row name verify prints: the gap reads "<=" or ">" the bound."""
         return (
-            f"[{status}] q={self.q} {self.name}: estimate {self.estimate} vs "
-            f"limit {self.limit}, gap {self.gap} {relation} {self.bound}"
+            f"q={self.q} {self.name}: estimate {self.estimate} vs limit {self.limit}, "
+            f"gap {self.gap} {'<=' if self.ok else '>'} {self.bound}"
         )
 
 

@@ -34,18 +34,32 @@ SCROLL21 = "scroll21"
 VERONESE2 = "veronese2"
 
 
+# Below this bound (psi_12, OEIS A014233) the strong probable-prime test to
+# the twelve prime bases 2..37 has no pseudoprime (Sorenson and Webster,
+# Math. Comp. 86, 2017), so it decides primality exactly; p from here up is
+# refused, not guessed at.
+PRIMALITY_BOUND = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"p must be below {PRIMALITY_BOUND}, got {n}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n <= bases[-1] or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
 
 
@@ -66,16 +80,6 @@ class FrobeniusContext(_Record):
             raise ValueError(f"e must be nonnegative, got {e}")
         super().__init__(p, e)
 
-    # Contexts and families key every cache lookup, so both spell out the
-    # comparison the base would make through its generic field getter.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.e) == (other.p, other.e)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.e))
-
     @property
     def q(self) -> int:
         return self.p ** self.e
@@ -85,17 +89,29 @@ class FrobeniusContext(_Record):
 
 
 def context_from_q(q: int) -> FrobeniusContext:
-    """Factor a prime power q into its FrobeniusContext."""
+    """Factor a prime power q into its FrobeniusContext.
+
+    The primes up to 37 are tried by division.  Past them p is the exact
+    e-th root of q for the largest e that has one, so no search grows with p.
+    """
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    p = 2
-    while q % p != 0:
-        p += 1
-    e = 0
-    rest = q
+    for p in range(2, 38):
+        if q % p == 0:
+            break
+    else:
+        # p >= 41 > 2^5, so e <= log_2(q) / 5; e = 1 always has a root
+        for e in range(q.bit_length() // 5, 0, -1):
+            p = 1 << -(-q.bit_length() // e)  # above the root; Newton steps down
+            while (step := ((e - 1) * p + q // p ** (e - 1)) // e) < p:
+                p = step
+            if p ** e == q:
+                break
+        if not _is_prime(p):
+            raise ValueError(f"{q} is not a prime power")
+    e, rest = 0, q
     while rest % p == 0:
-        rest //= p
-        e += 1
+        e, rest = e + 1, rest // p
     if rest != 1:
         raise ValueError(f"{q} is not a prime power")
     return FrobeniusContext(p, e)
@@ -148,15 +164,6 @@ class RingFamily(_Record):
         for name in self.__slots__[2:]:
             description.setdefault(name, None)
         super().__init__(kind, delta, **description)
-
-    # spelled out for the cache lookups, as in FrobeniusContext
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.delta) == (other.kind, other.delta)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.delta))
 
     @property
     def label(self) -> str:
@@ -248,12 +255,8 @@ def _scroll(d: int) -> RingFamily:
     )
 
 
-def scroll21() -> RingFamily:
-    return _scroll21()
-
-
 @lru_cache(maxsize=None)
-def _scroll21() -> RingFamily:
+def scroll21() -> RingFamily:
     def recurrences(betti, i):
         out = [betti("B", i + 1) - betti("D", i), betti("A", i + 1) - betti("B", i)]
         if i >= 1:
@@ -339,12 +342,8 @@ def _scroll21() -> RingFamily:
     )
 
 
-def veronese2() -> RingFamily:
-    return _veronese2()
-
-
 @lru_cache(maxsize=None)
-def _veronese2() -> RingFamily:
+def veronese2() -> RingFamily:
     def recurrences(betti, i):
         out = [betti("A", i + 1) - betti("B", i)]
         if i == 1:

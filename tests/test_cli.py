@@ -520,7 +520,8 @@ def first_without_float(values):
 
 def test_values_beyond_float_range_exit_cleanly(capsys):
     # the JSON "approx" field needs a float; past about 1.8e308 there is
-    # none, so the command stops with one error line naming the exact value
+    # none, so a JSON command stops with one error line naming the exact
+    # value, while text and csv, which print no float, print that value
     def table1_values():
         for family in map(parse_ring, _default_families()):
             lim = limits(family)
@@ -528,15 +529,21 @@ def test_values_beyond_float_range_exit_cleanly(capsys):
 
     value = first_without_float(table1_values())
     expected = f"error: {value} has no float approximation\n"
-    for fmt in ("text", "json", "csv"):
+    code, out, err = run(capsys, ["table1", "--max-i", "400", "--format", "json"])
+    assert (code, out, err) == (2, "", expected)
+    for fmt in ("text", "csv"):
         code, out, err = run(capsys, ["table1", "--max-i", "400", "--format", fmt])
-        assert (code, out, err) == (2, "", expected)
+        assert (code, err) == (0, "")
+        assert str(value) in out.replace(",", " ").split()
 
     est = finite_q_estimates(scroll(10), FrobeniusContext(3, 2))
     value = first_without_float(est.fbetti_est(i) for i in range(1, 401))
-    argv = ["decompose", "--ring", "scroll:10", "--p", "3", "--e", "2"]
-    code, out, err = run(capsys, argv + ["--max-i", "400", "--format", "json"])
+    argv = ["decompose", "--ring", "scroll:10", "--p", "3", "--e", "2", "--max-i", "400"]
+    code, out, err = run(capsys, argv + ["--format", "json"])
     assert (code, out, err) == (2, "", f"error: {value} has no float approximation\n")
+    code, out, err = run(capsys, argv + ["--format", "text"])
+    assert (code, err) == (0, "")
+    assert out.startswith("ring scroll:10, p=3, e=2, q=9\n")
 
 
 # The same one-liner runs against the installed package in CI.

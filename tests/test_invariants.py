@@ -99,14 +99,15 @@ def test_convergence_report_details():
     names = {c.name for c in report.checks}
     assert {"s", "ehk", "fbetti_1", "free_vs_canonical"} <= names
     for check in report.checks:
-        assert check.describe().startswith("[ok]")
+        assert check.describe().startswith(f"q=3 {check.name}: estimate ")
+        assert f"gap {check.gap} <= {check.bound}" in check.describe()
 
 
 def test_failing_check_states_the_broken_bound():
     report = convergence_check(scroll(10), [16])
     assert [c.name for c in report.failures()] == [f"fbetti_{i}" for i in range(1, 5)]
     assert report.failures()[0].describe() == (
-        "[FAIL] q=16 fbetti_1: estimate 725/16 vs limit 45, gap 5/16 > 1/4"
+        "q=16 fbetti_1: estimate 725/16 vs limit 45, gap 5/16 > 1/4"
     )
     for check in report.checks:
         assert (" <= " in check.describe()) == check.ok

@@ -1,12 +1,16 @@
+import json
 import pickle
 import random
 from itertools import product
+from math import isqrt
 
 import pytest
 
 from frobcm import pushforward
 from frobcm.arith import _Record
+from frobcm.cli import main
 from frobcm.rings import (
+    PRIMALITY_BOUND,
     FrobeniusContext,
     RingFamily,
     context_from_q,
@@ -112,7 +116,7 @@ def test_family_constants():
     assert veronese2().ambient_vars == 3
 
 
-def test_context_validation():
+def test_context_validation(capsys):
     ctx = FrobeniusContext(3, 2)
     assert ctx.q == 9
     assert FrobeniusContext(5, 0).q == 1
@@ -120,6 +124,20 @@ def test_context_validation():
         FrobeniusContext(6, 1)
     with pytest.raises(ValueError):
         FrobeniusContext(3, -1)
+    # large primes are decided at once, not by trial division
+    for p in (10**14 + 31, 10**18 + 3, 2**61 - 1):
+        assert FrobeniusContext(p, 1).q == p
+    argv = ["decompose", "--ring", "scroll:2", "--p", str(10**18 + 3), "--e", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("  routes agree exactly\n")
+    # a strong pseudoprime to every prime base up to 23 fails at 29..37
+    with pytest.raises(ValueError, match="^p must be prime, got 3825123056546413051$"):
+        FrobeniusContext(3825123056546413051, 1)
+    # from the first strong pseudoprime to all twelve bases on, p is refused
+    assert PRIMALITY_BOUND == 318665857834031151167461
+    for p in (PRIMALITY_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"^p must be below {PRIMALITY_BOUND}, got {p}$"):
+            FrobeniusContext(p, 1)
 
 
 def test_context_family_compatibility():
@@ -140,9 +158,9 @@ def test_context_rejects_non_integers(p, e, field):
         FrobeniusContext(p, e)
 
 
-def test_spelled_out_comparisons_match_the_base():
-    # FrobeniusContext and RingFamily write out __eq__ and __hash__ for
-    # speed; they must say what the base says over their compared fields
+def test_contexts_and_families_compare_through_the_base():
+    # FrobeniusContext and RingFamily define no comparison of their own:
+    # the base compares and hashes (p, e) and (kind, delta), their _compared
     pairs = [
         (FrobeniusContext(3, 2), FrobeniusContext(3, 2), FrobeniusContext(3, 1)),
         (FrobeniusContext(2, 5), FrobeniusContext(2, 5), FrobeniusContext(5, 2)),
@@ -164,13 +182,44 @@ def test_family_rejects_unknown_fields():
     assert RingFamily("scroll", 3, torsion_index=3).label == "scroll:3"
 
 
-def test_context_from_q():
+def test_context_from_q(capsys):
     assert context_from_q(27) == FrobeniusContext(3, 3)
     assert context_from_q(32) == FrobeniusContext(2, 5)
     with pytest.raises(ValueError):
         context_from_q(12)
     with pytest.raises(ValueError):
         context_from_q(1)
+    # every q < 10^5 against the prime powers of a sieve
+    limit = 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for n in range(2, isqrt(limit) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytes(len(range(n * n, limit, n)))
+    powers = {}
+    for p in (n for n in range(limit) if sieve[n]):
+        q, e = p, 1
+        while q < limit:
+            powers[q] = FrobeniusContext(p, e)
+            q, e = q * p, e + 1
+
+    def factored(q):
+        try:
+            return context_from_q(q)
+        except ValueError as exc:
+            return str(exc)
+
+    for q in range(2, limit):
+        assert factored(q) == powers.get(q, f"{q} is not a prime power")
+    # past the small primes p is an exact root, found at once however large
+    assert context_from_q(1_000_000_007) == FrobeniusContext(1_000_000_007, 1)
+    assert context_from_q(1_000_003**3) == FrobeniusContext(1_000_003, 3)
+    assert context_from_q(41**40) == FrobeniusContext(41, 40)
+    assert main(["verify", "--ring", "scroll:2", "--q", "1000000007", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    for q in (41 * 43, 41**2 * 43, 1_000_003**2 * 1_000_033, 3825123056546413051):
+        assert factored(q) == f"{q} is not a prime power"
+    with pytest.raises(ValueError, match=f"^p must be below {PRIMALITY_BOUND}"):
+        context_from_q(PRIMALITY_BOUND)
 
 
 def test_family_identity_is_kind_and_delta():
