@@ -42,6 +42,18 @@ def _over_budget(work: int) -> str | None:
     return None
 
 
+def _error_text(exc: Exception, size_input: str) -> str:
+    """The message for exc.  Python's limit on printing long integers is
+    named with the input that sets how long the printed integers get."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and "integer string conversion" in str(exc):
+        return (
+            f"an output integer exceeds the {limit}-digit limit on converting "
+            f"integers to text; lower {size_input}"
+        )
+    return str(exc)
+
+
 def _rational_json(value: Fraction) -> dict:
     try:
         approx = round(float(value), 6)
@@ -194,18 +206,20 @@ def cmd_decompose(args) -> int:
     if args.format == "json":
         print(_dump(build_decompose_record(family, ctx, routes, args.max_i)))
         return 0
-    print(f"ring {family.label}, p={ctx.p}, e={ctx.e}, q={ctx.q}")
+    # every line is built before any is printed, so an error prints none
+    lines = [f"ring {family.label}, p={ctx.p}, e={ctx.e}, q={ctx.q}"]
     estimates = [invariants.finite_q_estimates(family, ctx, route) for route in routes]
     for route, est in zip(routes, estimates):
         mults = " ".join(f"{tag}={count}" for tag, count in est.decomposition.multiplicities)
-        print(f"  route {route}: {mults}")
-        print(f"    estimates: s_est={est.s_est}, ehk_est={est.ehk_est}")
+        lines.append(f"  route {route}: {mults}")
+        lines.append(f"    estimates: s_est={est.s_est}, ehk_est={est.ehk_est}")
     diff = _route_diff([est.decomposition.as_dict() for est in estimates])
     if diff:
         diffs = " ".join(f"{k}:{v:+d}" for k, v in diff.items())
-        print(f"  route diff (classes minus paper): {diffs}")
+        lines.append(f"  route diff (classes minus paper): {diffs}")
     elif len(routes) == 2:
-        print("  routes agree exactly")
+        lines.append("  routes agree exactly")
+    print("\n".join(lines))
     return 0
 
 
@@ -340,7 +354,7 @@ def build_verify_record(family: RingFamily, q_list: list[int], suite: str) -> di
         try:
             rows = runner(family, *args) if runner else None
         except (ValueError, AuditFailure) as exc:
-            rows = [(label, False, f"error: {exc}")]
+            rows = [(label, False, f"error: {_error_text(exc, '--q')}")]
         checks.extend(rows or [(label, True, "not applicable, skipped")])
 
     for q in q_list:
@@ -406,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(_default_families()),
         help="comma separated ring labels",
     )
-    t1.set_defaults(func=cmd_table1)
+    t1.set_defaults(func=cmd_table1, size_input="--max-i")
 
     dec = sub.add_parser("decompose", help="decompose the q-th root module")
     dec.add_argument("--ring", required=True)
@@ -415,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--route", choices=("paper", "classes", "both"), default="both")
     dec.add_argument("--format", choices=("text", "json"), default="text")
     dec.add_argument("--max-i", type=_nonnegative_int, default=4, dest="max_i")
-    dec.set_defaults(func=cmd_decompose)
+    dec.set_defaults(func=cmd_decompose, size_input="--e")
 
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("--ring", required=True)
@@ -424,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--suite", choices=SUITES, default="all")
     ver.add_argument("--format", choices=("text", "json"), default="text")
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=cmd_verify, size_input="--q")
     return parser
 
 
@@ -437,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc, args.size_input)}", file=sys.stderr)
         return 2
 
 

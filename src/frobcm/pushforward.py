@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import sub
 
 from . import mcm
 from .arith import _Record
@@ -176,10 +177,14 @@ def class_minimal_generators(
 
     A class point a (componentwise congruent to the residue mod q, inside the
     semigroup) is a minimal generator exactly when a - q g leaves the
-    semigroup cone for every algebra generator g.  The search runs over the
-    box [0, (torsion + 2) q)^n; any uncovered semigroup point on the outermost
-    layer would mean the box was too small and raises AuditFailure instead of
-    returning a wrong answer.
+    semigroup for every algebra generator g.  One scan of the box
+    [0, (torsion + 2) q)^n collects the class's semigroup points as a set by
+    ``family.member``, exact there since every box point is a vector >= 0 of
+    length n, all that ``contains`` adds.  Covering is a set lookup, also
+    exact: for a = r + q u with 0 <= r < q, a - q g lies in the box exactly
+    when u - g >= 0, and otherwise has a negative coordinate.  Any uncovered
+    semigroup point on the outermost layer would mean the box was too small
+    and raises AuditFailure instead of returning a wrong answer.
     """
     family.validate_context(ctx)
     refusal = _refusal(family, ctx, ROUTE_CLASSES)
@@ -192,26 +197,20 @@ def class_minimal_generators(
     if not all(0 <= r < q for r in residue):
         raise ValueError(f"residue coordinates must lie in [0, q), got {residue}")
     factor = family.torsion_index + 2
+    box = itertools.product(*(range(r, r + factor * q, q) for r in residue))
+    points = set(filter(family.member, box))
     scaled = [tuple(q * g_i for g_i in g) for g in family.generators]
-    contains = family.contains
+    edge = (factor - 1) * q
     minimal = []
-    for steps in itertools.product(range(factor), repeat=n):
-        point = tuple(r + q * u for r, u in zip(residue, steps))
-        if not contains(point):
+    for point in points:
+        if any(tuple(map(sub, point, g)) in points for g in scaled):
             continue
-        covered = False
-        for g in scaled:
-            diff = tuple(a - b for a, b in zip(point, g))
-            if min(diff) >= 0 and contains(diff):
-                covered = True
-                break
-        if not covered:
-            if max(steps) == factor - 1:
-                raise AuditFailure(
-                    f"minimal generator search box too small for "
-                    f"{family.label}, residue {residue}, q={q}"
-                )
-            minimal.append(point)
+        if max(point) >= edge:
+            raise AuditFailure(
+                f"minimal generator search box too small for "
+                f"{family.label}, residue {residue}, q={q}"
+            )
+        minimal.append(point)
     return ClassModule(family, ctx, tuple(residue), tuple(sorted(minimal)))
 
 
@@ -251,21 +250,26 @@ def _decompose_cached(
     return dec
 
 
-def class_key_tags(
-    family: RingFamily, ctx: FrobeniusContext
-) -> dict[object, tuple[tuple[int, ...], str]]:
-    """Each class key with residues at ctx -> (its first residue, its tag),
-    the tag read off mu by one minimal-generator search per key."""
+def _tagged_keys(family: RingFamily, ctx: FrobeniusContext):
+    """Yield (key, residue count, first residue, tag) for each class key with
+    residues at ctx, from one ``class_key_counts`` and one minimal-generator
+    search per key."""
     q = ctx.q
-    tags = {}
     for key, (count, first) in family.class_key_counts(q).items():
         if count == 0:
             continue
         if family.class_key(q, first) != key:
             raise AuditFailure(f"{first} does not have class key {key} at q={q}")
         mu = class_minimal_generators(family, ctx, first).mu
-        tags[key] = (first, mcm.class_tag_for_mu(family, mu))
-    return tags
+        yield key, count, first, mcm.class_tag_for_mu(family, mu)
+
+
+def class_key_tags(
+    family: RingFamily, ctx: FrobeniusContext
+) -> dict[object, tuple[tuple[int, ...], str]]:
+    """Each class key with residues at ctx -> (its first residue, its tag),
+    the tag read off mu by one minimal-generator search per key."""
+    return {key: (first, tag) for key, _, first, tag in _tagged_keys(family, ctx)}
 
 
 def _residue_class_multiplicities(
@@ -273,14 +277,13 @@ def _residue_class_multiplicities(
 ) -> dict[str, int]:
     """Tally the q^d residue classes by tag without enumerating them.
 
-    Each class key contributes its closed-form residue count to its tag in
-    ``class_key_tags``, so the cost is independent of q.
+    Each class key contributes its closed-form residue count to its tag, so
+    the cost is independent of q.
     """
     q = ctx.q
-    key_counts = family.class_key_counts(q)
     counts: dict[str, int] = {}
-    for key, (_, tag) in class_key_tags(family, ctx).items():
-        counts[tag] = counts.get(tag, 0) + key_counts[key][0]
+    for _, count, _, tag in _tagged_keys(family, ctx):
+        counts[tag] = counts.get(tag, 0) + count
     if sum(counts.values()) != q ** family.ambient_vars:
         raise AuditFailure(f"class key counts do not partition the cube at q={q}")
     return counts

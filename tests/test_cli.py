@@ -546,6 +546,34 @@ def test_values_beyond_float_range_exit_cleanly(capsys):
     assert out.startswith("ring scroll:10, p=3, e=2, q=9\n")
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python prints integers of any length",
+)
+def test_integers_past_the_print_limit_name_the_input_to_lower(capsys):
+    # Python refuses to print an integer of more than 4,300 digits by
+    # default; the error names that limit and the input that sets the
+    # length, not the interpreter call that lifts it.  scroll:10 alone is
+    # enough: 10 * 9^i / 2 passes the limit at i = 4506.
+    limit = sys.get_int_max_str_digits()
+    expected = (
+        f"error: an output integer exceeds the {limit}-digit limit on "
+        f"converting integers to text; lower {{}}\n"
+    )
+    argv = ["table1", "--families", "scroll:10", "--max-i", "4600", "--format", "csv"]
+    assert run(capsys, argv) == (2, "", expected.format("--max-i"))
+    # at e = 5000 q itself prints, q^2 does not, and text prints no line
+    for fmt, e in (("json", "10000"), ("text", "10000"), ("text", "5000")):
+        argv = ["decompose", "--ring", "scroll:2", "--p", "3", "--e", e, "--format", fmt]
+        assert run(capsys, argv) == (2, "", expected.format("--e"))
+    # verify fails the one row whose counts (q^3 here) cannot print
+    argv = ["verify", "--ring", "veronese2", "--q", str(3 ** 5000), "--suite", "counts"]
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (1, "")
+    [check] = json.loads(out)["checks"]
+    assert check["detail"] == expected.format("--q").rstrip("\n")
+
+
 # The same one-liner runs against the installed package in CI.
 IMPORT_FOOTPRINT = (
     "import sys; bare = set(sys.modules); import frobcm.cli; "

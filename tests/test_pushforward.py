@@ -27,6 +27,7 @@ from frobcm.pushforward import (
 )
 from frobcm.rings import (
     FrobeniusContext,
+    RingFamily,
     context_from_q,
     parse_ring,
     scroll,
@@ -68,6 +69,40 @@ def enumerating_tally(family, ctx):
             tag = tag_by_key[key] = class_tag_for_mu(family, mu)
         counts[tag] = counts.get(tag, 0) + 1
     return key_counts, counts
+
+
+def per_point_minimal_generators(family, ctx, residue):
+    """Reference twin of ``class_minimal_generators``: one ``contains`` call
+    per box point, and one more per generator tried for covering."""
+    q = ctx.q
+    factor = family.torsion_index + 2
+    scaled = [tuple(q * g_i for g_i in g) for g in family.generators]
+    minimal = []
+    for steps in product(range(factor), repeat=family.ambient_vars):
+        point = tuple(r + q * u for r, u in zip(residue, steps))
+        if not family.contains(point):
+            continue
+        covered = False
+        for g in scaled:
+            diff = tuple(a - b for a, b in zip(point, g))
+            if min(diff) >= 0 and family.contains(diff):
+                covered = True
+                break
+        if not covered:
+            if max(steps) == factor - 1:
+                raise AuditFailure(
+                    f"minimal generator search box too small for "
+                    f"{family.label}, residue {residue}, q={q}"
+                )
+            minimal.append(point)
+    return tuple(sorted(minimal))
+
+
+def redescribed(family, **changes):
+    """A new RingFamily with family's description but for changes.  It
+    compares equal to family, so only an uncached call sees the changes."""
+    fields = {name: getattr(family, name) for name in RingFamily.__slots__[2:]}
+    return RingFamily(family.kind, family.delta, **{**fields, **changes})
 
 
 def nonzero_key_counts(family, q):
@@ -172,6 +207,56 @@ def test_class_minimal_generators_validation():
         class_minimal_generators(scroll21(), FrobeniusContext(2, 2), (0, 0, 0))
     with pytest.raises(ValueError):
         class_minimal_generators(scroll21(), Q3, (0, 0, 5))
+
+
+@pytest.mark.parametrize(
+    "search",
+    (class_minimal_generators, per_point_minimal_generators),
+    ids=("set_lookup", "per_point"),
+)
+def test_minimal_generator_search_audits_its_box(search):
+    # with torsion index 1 the box is [0, 3q)^2, but scroll:10's generators
+    # have degree 10, so no box point is covered and residue (6, 0) at q = 7
+    # has semigroup points (20, 0) and (6, 14) on the outermost layer
+    ctx = FrobeniusContext(7, 1)
+    assert search(scroll(10), ctx, (6, 0))  # the true box is large enough
+    small = redescribed(scroll(10), torsion_index=1)
+    with pytest.raises(AuditFailure, match="search box too small"):
+        search(small, ctx, (6, 0))
+
+
+def reference_twin_cases():
+    for delta in range(2, 11):
+        for q in (5, 7):
+            if gcd(q, delta) == 1:
+                yield scroll(delta), context_from_q(q)
+    for family in (scroll21(), veronese2()):
+        for q in (3, 5, 9):
+            yield family, context_from_q(q)
+
+
+@pytest.mark.parametrize(
+    "family, ctx",
+    list(reference_twin_cases()),
+    ids=lambda value: getattr(value, "label", None) or f"q={value.q}",
+)
+def test_search_matches_per_point_twin_on_every_residue(family, ctx):
+    for residue in product(range(ctx.q), repeat=family.ambient_vars):
+        expected = per_point_minimal_generators(family, ctx, residue)
+        found = class_minimal_generators(family, ctx, residue).generators
+        assert found == expected, residue
+
+
+def test_search_matches_per_point_twin_at_large_q():
+    ctx = FrobeniusContext(3, 12)
+    for family in map(parse_ring, _default_families()):
+        if not family.coprime_torsion(ctx):
+            continue
+        for n, first in family.class_key_counts(ctx.q).values():
+            if n:
+                expected = per_point_minimal_generators(family, ctx, first)
+                found = class_minimal_generators(family, ctx, first).generators
+                assert found == expected, (family, first)
 
 
 def test_class_module_invariants():
@@ -339,6 +424,24 @@ def test_residue_route_searches_once_per_key(monkeypatch):
             counts = _residue_class_multiplicities(family, ctx)
             assert len(calls) == len(nonzero_key_counts(family, ctx.q))
             assert sum(counts.values()) == ctx.q ** family.ambient_vars
+
+
+def test_residue_route_reads_the_key_counts_once(monkeypatch):
+    monkeypatch.setattr(
+        pushforward, "_decompose_cached", pushforward._decompose_cached.__wrapped__
+    )
+    for family in (scroll(2), scroll(10), scroll21(), veronese2()):
+        for ctx in (Q3, FrobeniusContext(3, 12)):
+            calls = []
+
+            def counting(q, family=family, calls=calls):
+                calls.append(q)
+                return family.class_key_counts(q)
+
+            counted = redescribed(family, class_key_counts=counting)
+            dec = decompose(counted, ctx, ROUTE_CLASSES)
+            assert calls == [ctx.q], (family, ctx)
+            assert dec == decompose(family, ctx, ROUTE_CLASSES)
 
 
 def test_class_key_determines_tag_at_large_q():
