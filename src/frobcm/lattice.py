@@ -242,24 +242,6 @@ def enumerate_parity_box3(q: int, parity: int) -> int:
     )
 
 
-def enumerate_scroll21_p_sets(q: int) -> tuple[int, int, int]:
-    """|P(1)|, |P(2)|, |P(3)| of scroll21 from their definitions.
-
-    One sweep of [0, 2q) x [0, q)^2 over the even-sum triples, d = i + j - k:
-    P(1) has i < q and d >= 0; P(2) and P(3) have q <= i < 2q and split on
-    0 <= d < 2q versus d >= 2q.
-    """
-    sizes = [0, 0, 0]
-    for i in range(2 * q):
-        for j in range(q):
-            for k in range(q):
-                d = i + j - k
-                if (i + j + k) % 2 or d < 0:
-                    continue
-                sizes[0 if i < q else 1 if d < 2 * q else 2] += 1
-    return tuple(sizes)
-
-
 def count_parity_simplex3(n: int, parity: int) -> int:
     """Triples (a, b, c) >= 0 with a + b + c <= n of the given sum parity.
 

@@ -5,10 +5,11 @@ A family is described in one place, its constructor: ``scroll(delta)``,
 membership predicate, the algebra generators (exponent vectors, plain integer
 tuples) and all the other modules read about it: the limits, Betti
 recurrences, the residue class key with its closed per-key counts, the
-paper's index sets as the class keys whose residues each set counts, and the
-catalog of MCM classes, one row per class with its mu, rank, first Betti
-number, limiting density and Hilbert series (scroll21's derived here, not in
-the paper).
+paper's index sets (the class keys whose residues each set counts, a literal
+twin counting each set point by point, and whether the sizes sum to q^dim),
+and the catalog of MCM classes, one row per class with its mu, rank, first
+Betti number, limiting density and Hilbert series (scroll21's derived here,
+not in the paper).
 
 * ``scroll(delta)``: subalgebra of k[x, y] spanned by monomials whose total
   degree is a multiple of delta; generators x^delta, x^(delta-1) y, ..., y^delta.
@@ -26,8 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from . import lattice
 from .arith import HilbertSeries, Polynomial, _Record
-from .lattice import count_congruence_box, count_parity_box3, count_parity_simplex3
 
 SCROLL = "scroll"
 SCROLL21 = "scroll21"
@@ -156,6 +157,11 @@ class RingFamily(_Record):
         # the sets do not cover; that refusal and index_p2_refusal are what
         # pushforward.legal_routes reads for the index-set route
         "index_keys",
+        # index_twin is (points, sizes): sizes(q) counts each index set point
+        # by point from the paper's definition, in index_keys order, visiting
+        # points(q) points; verify holds the closed counts to it
+        "index_twin",
+        "index_partition",  # the index set sizes sum to q^ambient_vars
         "index_p2_refusal",  # the index sets fail at p = 2
     )
     _compared = ("kind", "delta")
@@ -212,7 +218,7 @@ def _scroll(d: int) -> RingFamily:
     def class_key_counts(q):
         return {
             k: (
-                count_congruence_box(0, q, 0, q, d, k),
+                lattice.count_congruence_box(0, q, 0, q, d, k),
                 (max(0, k - q + 1), min(k, q - 1)),
             )
             for k in range(d)
@@ -225,6 +231,12 @@ def _scroll(d: int) -> RingFamily:
         if q <= d:
             raise ValueError(f"index counts need q > delta, got q={q}, delta={d}")
         return {f"M({l})": ((-l * q) % d,) for l in range(d)}
+
+    def index_sizes(q):
+        return tuple(
+            lattice.enumerate_congruence_box(l * q, (l + 1) * q, 0, q, d, 0)
+            for l in range(d)
+        )
 
     # the classes keep the ambient grading: sum_{k>=0} (k d + l + 1) t^(k d + l)
     # in closed form, over (1 - t^d)^2
@@ -252,6 +264,8 @@ def _scroll(d: int) -> RingFamily:
         class_key=lambda q, r: (r[0] + r[1]) % d,
         class_key_counts=class_key_counts,
         index_keys=index_keys,
+        index_twin=(lambda q: d * q * q, index_sizes),
+        index_partition=True,
     )
 
 
@@ -283,8 +297,8 @@ def scroll21() -> RingFamily:
         parity_totals = ((q ** 3 + q % 2) // 2, q ** 3 // 2)
         counts = {}
         for parity, total in enumerate(parity_totals):
-            low = count_parity_simplex3(q - 2, (parity + q - 1) % 2)
-            high = count_parity_simplex3(q - 2, parity)
+            low = lattice.count_parity_simplex3(q - 2, (parity + q - 1) % 2)
+            high = lattice.count_parity_simplex3(q - 2, parity)
             counts[(-1, parity)] = (low, (0, 0, 2 - parity))
             counts[(0, parity)] = (total - low - high, (0, parity, 0))
             counts[(1, parity)] = (high, (2 - parity, q - 1, 0))
@@ -303,6 +317,20 @@ def scroll21() -> RingFamily:
             "A": ((-1, parity), (0, parity)),
             "BorC": ((1, parity),),
         }
+
+    def index_sizes(q):
+        # one sweep of [0, 2q) x [0, q)^2 over the even-sum triples, sigma =
+        # i + j - k: P(1) has i < q and sigma >= 0; P(2) and P(3) have
+        # q <= i < 2q and split on 0 <= sigma < 2q versus sigma >= 2q
+        sizes = [0, 0, 0]
+        for i in range(2 * q):
+            for j in range(q):
+                for k in range(q):
+                    sigma = i + j - k
+                    if (i + j + k) % 2 or sigma < 0:
+                        continue
+                    sizes[0 if i < q else 1 if sigma < 2 * q else 2] += 1
+        return tuple(sizes)
 
     b_series = HilbertSeries(Polynomial((0, 0, 0, 3)), 3)
     return RingFamily(
@@ -335,6 +363,11 @@ def scroll21() -> RingFamily:
         class_key=class_key,
         class_key_counts=class_key_counts,
         index_keys=index_keys,
+        index_twin=(lambda q: 2 * q ** 3, index_sizes),
+        # the sizes do not sum to q^3: at odd q no set counts key (-1, 0), and
+        # at even q the sets count only even-sum residues, keys (0, 0) and
+        # (1, 0) twice
+        index_partition=False,
         index_p2_refusal=(
             "scroll21 index sets need odd characteristic: at p = 2 they "
             "are unproven and do not sum to q^3"
@@ -352,6 +385,11 @@ def veronese2() -> RingFamily:
         if i >= 2:
             out.append(3 * betti("A", i) - betti("B", i))
         return out
+
+    def index_sizes(q):
+        # every triple has one parity, so the odd set is the rest of the cube
+        even = lattice.enumerate_parity_box3(q, 0)
+        return even, q ** 3 - even
 
     return RingFamily(
         VERONESE2,
@@ -378,9 +416,11 @@ def veronese2() -> RingFamily:
         # the parity of the residue degree fixes the class
         class_key=lambda q, r: sum(r) % 2,
         class_key_counts=lambda q: {
-            parity: (count_parity_box3(q, parity), (0, 0, parity)) for parity in (0, 1)
+            parity: (lattice.count_parity_box3(q, parity), (0, 0, parity)) for parity in (0, 1)
         },
         index_keys=lambda q: {"R": (0,), "A": (1,)},
+        index_twin=(lambda q: q ** 3, index_sizes),
+        index_partition=True,
     )
 
 

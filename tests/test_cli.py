@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import frobcm
-from frobcm import cli, invariants, lattice, mcm, oracle, pushforward
+from frobcm import cli, invariants, mcm, oracle, pushforward
 from frobcm.cli import (
     WORK_BUDGET,
     _default_families,
@@ -21,6 +21,7 @@ from frobcm.invariants import finite_q_estimates, limits
 from frobcm.oracle import colength_rows
 from frobcm.rings import FrobeniusContext, context_from_q, parse_ring, scroll, scroll21
 from test_lattice import scroll21_p_sets
+from test_pushforward import redescribed
 
 
 def run(capsys, argv):
@@ -135,7 +136,10 @@ def test_verify_skips_scroll_counts_at_small_q(capsys):
     # the index boxes need q > delta, so the suite is skipped there
     code, out, _ = run(capsys, ["verify", "--ring", "scroll:5", "--q", "3", "--suite", "counts"])
     assert code == 0
-    assert out == "PASS counts[q=3]  (skipped, needs q > 5)\nall 1 checks passed\n"
+    assert out == (
+        "PASS counts[q=3]  (skipped, index counts need q > delta, got q=3, delta=5)\n"
+        "all 1 checks passed\n"
+    )
 
 
 def test_verify_skips_scroll21_index_suites_at_q2(capsys):
@@ -144,7 +148,9 @@ def test_verify_skips_scroll21_index_suites_at_q2(capsys):
     argv = ["verify", "--ring", "scroll21", "--q", "2", "--suite"]
     code, out, _ = run(capsys, argv + ["counts"])
     assert code == 0
-    assert out == "PASS counts[q=2]  (skipped, needs q > 2)\nall 1 checks passed\n"
+    assert out == (
+        "PASS counts[q=2]  (skipped, index sets need q > 2, got q=2)\nall 1 checks passed\n"
+    )
     code, out, _ = run(capsys, argv + ["syzygy"])
     assert code == 0
     assert out == (
@@ -160,7 +166,7 @@ def test_verify_skips_scroll21_p_set_twin_past_the_cap(monkeypatch):
     record = build_verify_record(scroll21(), [81], "counts")
     assert record["checks"] == [
         {
-            "name": "counts[q=81] P-sets vs enumeration",
+            "name": "counts[q=81] index sets vs enumeration",
             "ok": True,
             "detail": "skipped, work estimate 1062882 over budget 1062881",
         }
@@ -173,7 +179,9 @@ def test_verify_runs_scroll21_p_set_twin_at_29(capsys):
     code, out, _ = run(capsys, argv)
     counts = pushforward.scroll21_index_counts(context_from_q(29))
     assert code == 0
-    assert out == f"PASS counts[q=29] P-sets vs enumeration  ({counts})\nall 1 checks passed\n"
+    assert out == (
+        f"PASS counts[q=29] index sets vs enumeration  ({counts})\nall 1 checks passed\n"
+    )
 
 
 def test_verify_runs_veronese2_parity_twin_at_49(capsys):
@@ -181,8 +189,8 @@ def test_verify_runs_veronese2_parity_twin_at_49(capsys):
     split = ((49 ** 3 + 1) // 2, (49 ** 3 - 1) // 2)
     assert code == 0
     assert out == (
-        f"PASS counts[q=49] parity split sums to q^3  ({split})\n"
-        f"PASS counts[q=49] parity counts vs enumeration  ({split})\n"
+        f"PASS counts[q=49] index sets sum to q^3  ({49 ** 3} vs {49 ** 3})\n"
+        f"PASS counts[q=49] index sets vs enumeration  ({split})\n"
         "all 2 checks passed\n"
     )
 
@@ -191,7 +199,7 @@ def test_verify_skips_veronese2_parity_twin_over_budget(monkeypatch):
     monkeypatch.setattr(cli, "WORK_BUDGET", 49 ** 3 - 1)
     record = build_verify_record(parse_ring("veronese2"), [49], "counts")
     assert record["checks"][1] == {
-        "name": "counts[q=49] parity counts vs enumeration",
+        "name": "counts[q=49] index sets vs enumeration",
         "ok": True,
         "detail": f"skipped, work estimate {49 ** 3} over budget {49 ** 3 - 1}",
     }
@@ -205,13 +213,13 @@ def test_verify_over_budget_checks_are_skipped(capsys):
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     skip = f"skipped, work estimate 48828125 over budget {WORK_BUDGET}"
-    assert checks["counts[q=3125] a_l vs enumeration"] == {
-        "name": "counts[q=3125] a_l vs enumeration", "ok": True, "detail": skip
+    assert checks["counts[q=3125] index sets vs enumeration"] == {
+        "name": "counts[q=3125] index sets vs enumeration", "ok": True, "detail": skip
     }
     assert checks["hilbert[q=3125]"] == {
         "name": "hilbert[q=3125]", "ok": True, "detail": "skipped, p=5 divides the torsion index 5"
     }
-    assert checks["counts[q=3125] sum a_l = q^2"]["ok"]
+    assert checks["counts[q=3125] index sets sum to q^2"]["ok"]
     assert checks["colength[q=3125] lambda/q^d near e_HK"]["detail"] == "lambda=29296875, gap=0"
 
 
@@ -307,19 +315,19 @@ def test_verify_hilbert_passes_on_every_family(ring, q):
 
 
 @pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13, 25, 27))
-def test_verify_relations_fail_on_a_p2_triple_in_p3(monkeypatch, q):
-    # the counts suite's P-set twin compares the closed counts with the
-    # literal set sizes, so a P(2) triple that strays into P(3) fails it
+def test_verify_relations_fail_on_a_p2_triple_in_p3(q):
+    # the counts suite's twin compares the closed counts with the literal
+    # set sizes, so a P(2) triple that strays into P(3) fails it
     p1, p2, p3 = scroll21_p_sets(q)
     stray = min(p2)
     assert stray not in p3
-    monkeypatch.setattr(
-        lattice, "enumerate_scroll21_p_sets", lambda q_: (len(p1), len(p2), len(p3 | {stray}))
-    )
-    record = build_verify_record(scroll21(), [q], "counts")
+    points, _ = scroll21().index_twin
+    sizes = (len(p1), len(p2), len(p3 | {stray}))
+    stray_twin = redescribed(scroll21(), index_twin=(points, lambda q_: sizes))
+    record = build_verify_record(stray_twin, [q], "counts")
     assert record["checks"] == [
         {
-            "name": f"counts[q={q}] P-sets vs enumeration",
+            "name": f"counts[q={q}] index sets vs enumeration",
             "ok": False,
             "detail": f"{(len(p1), len(p2), len(p3))}",
         }
@@ -344,10 +352,10 @@ def test_verify_reports_a_wrong_scroll_count_as_a_failed_row(capsys, monkeypatch
     assert code == 1
     assert err == ""
     assert out == (
-        "FAIL counts[q=5] sum a_l = q^2  (26 vs 25)\n"
-        "FAIL counts[q=5] a_l vs enumeration  ([9, 9, 8])\n"
-        "PASS counts[q=7] sum a_l = q^2  (49 vs 49)\n"
-        "PASS counts[q=7] a_l vs enumeration  ([17, 16, 16])\n"
+        "FAIL counts[q=5] index sets sum to q^2  (26 vs 25)\n"
+        "FAIL counts[q=5] index sets vs enumeration  ((9, 9, 8))\n"
+        "PASS counts[q=7] index sets sum to q^2  (49 vs 49)\n"
+        "PASS counts[q=7] index sets vs enumeration  ((17, 16, 16))\n"
         "2 of 4 checks FAILED\n"
     )
 
@@ -355,9 +363,9 @@ def test_verify_reports_a_wrong_scroll_count_as_a_failed_row(capsys, monkeypatch
 @pytest.mark.parametrize(
     "ring, failed",
     (
-        ("scroll:3", ["sum a_l = q^2", "a_l vs enumeration"]),
-        ("scroll21", ["P-sets vs enumeration"]),
-        ("veronese2", ["parity split sums to q^3", "parity counts vs enumeration"]),
+        ("scroll:3", ["index sets sum to q^2", "index sets vs enumeration"]),
+        ("scroll21", ["index sets vs enumeration"]),
+        ("veronese2", ["index sets sum to q^3", "index sets vs enumeration"]),
     ),
 )
 def test_every_counts_row_reads_index_set_counts(capsys, monkeypatch, ring, failed):
@@ -378,6 +386,44 @@ def test_every_counts_row_reads_index_set_counts(capsys, monkeypatch, ring, fail
     ]
 
 
+@pytest.mark.parametrize("ring", ("scroll:3", "veronese2"))
+def test_verify_counts_twin_fails_on_a_planted_twin(ring):
+    # the twin row holds the closed counts to the constructor's literal
+    # twin, so a twin that finds one point more in the first set fails it;
+    # test_verify_relations_fail_on_a_p2_triple_in_p3 plants scroll21's
+    family = parse_ring(ring)
+    points, sizes = family.index_twin
+
+    def one_more(q):
+        first, *rest = sizes(q)
+        return (first + 1, *rest)
+
+    planted = redescribed(family, index_twin=(points, one_more))
+    *closed, twin = build_verify_record(planted, [5], "counts")["checks"]
+    assert twin["name"] == "counts[q=5] index sets vs enumeration"
+    assert twin["ok"] is False
+    assert twin["detail"] == f"{tuple(pushforward.index_set_counts(family, 5).values())}"
+    assert all(check["ok"] for check in closed)
+
+
+@pytest.mark.parametrize("ring", ("scroll:3", "veronese2"))
+def test_verify_counts_sum_fails_on_a_dropped_key(ring):
+    # where the index sets partition the cube, a set that loses its key
+    # leaves the sizes short of q^n
+    family = parse_ring(ring)
+
+    def dropping(q):
+        keys = family.index_keys(q)
+        return {**keys, next(iter(keys)): ()}
+
+    planted = redescribed(family, index_keys=dropping)
+    total = build_verify_record(planted, [5], "counts")["checks"][0]
+    n = family.ambient_vars
+    assert total["name"] == f"counts[q=5] index sets sum to q^{n}"
+    assert total["ok"] is False
+    assert total["detail"].endswith(f" vs {5 ** n}")
+
+
 def test_verify_reports_a_failed_limits_cross_check_per_row(capsys, monkeypatch):
     # a closed form that disagrees with its density sum fails the colength and
     # convergence rows that read the limits; the other rows still run
@@ -387,8 +433,8 @@ def test_verify_reports_a_failed_limits_cross_check_per_row(capsys, monkeypatch)
     assert err == ""
     lines = out.splitlines()
     assert [line.split("  (")[0] for line in lines] == [
-        "PASS counts[q=7] sum a_l = q^2",
-        "PASS counts[q=7] a_l vs enumeration",
+        "PASS counts[q=7] index sets sum to q^2",
+        "PASS counts[q=7] index sets vs enumeration",
         "PASS hilbert[q=7] class dimensions vs tag series",
         "FAIL colength[q=7]",
         "PASS syzygy closed sets",
@@ -553,14 +599,15 @@ def test_values_beyond_float_range_exit_cleanly(capsys):
 def test_integers_past_the_print_limit_name_the_input_to_lower(capsys):
     # Python refuses to print an integer of more than 4,300 digits by
     # default; the error names that limit and the input that sets the
-    # length, not the interpreter call that lifts it.  scroll:10 alone is
-    # enough: 10 * 9^i / 2 passes the limit at i = 4506.
+    # length, not the interpreter call that lifts it.  10 * 9^i / 2, the
+    # scroll:10 closed form, passes the limit at i = 4506; table1 converts
+    # each family's last beta first, so the whole table fails at once.
     limit = sys.get_int_max_str_digits()
     expected = (
         f"error: an output integer exceeds the {limit}-digit limit on "
         f"converting integers to text; lower {{}}\n"
     )
-    argv = ["table1", "--families", "scroll:10", "--max-i", "4600", "--format", "csv"]
+    argv = ["table1", "--max-i", "4600", "--format", "csv"]
     assert run(capsys, argv) == (2, "", expected.format("--max-i"))
     # at e = 5000 q itself prints, q^2 does not, and text prints no line
     for fmt, e in (("json", "10000"), ("text", "10000"), ("text", "5000")):

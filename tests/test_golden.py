@@ -30,6 +30,10 @@ replaced the ``iso`` and ``relations`` rows: only those rows, the veronese2
 ``fbetti_i`` convergence rows (scroll-7 q3 and q5, scroll-8 q3 and q5,
 scroll-9 q5 and q7, scroll-10 q3 and q7) were written again when a failing
 row learned to read ``gap X > B``: only ``<=`` turned into ``>`` in those rows.
+All 44 were written again when one counts path, reading each family's index
+sets from its constructor, replaced the per-kind counts code: only the
+``counts[...]`` rows changed, in name and skip text, at the same q and with
+the same pass, fail and skip as before.
 """
 
 import json

@@ -12,9 +12,9 @@ from frobcm.lattice import (
     enumerate_convex_polygon_points,
     enumerate_halfbox3,
     enumerate_parity_box3,
-    enumerate_scroll21_p_sets,
     pick_count,
 )
+from frobcm.rings import scroll21
 
 
 def enumerate_pairs_sum_ge(q: int, k: int) -> int:
@@ -185,7 +185,8 @@ def test_parity_box3():
 @pytest.mark.parametrize("q", (3, 4, 5, 8, 9, 16, 27))
 def test_scroll21_p_set_twin_counts_the_literal_sets(q):
     # the streaming twin visits each triple once and keeps only the sizes
-    assert enumerate_scroll21_p_sets(q) == tuple(len(s) for s in scroll21_p_sets(q))
+    _, sizes = scroll21().index_twin
+    assert sizes(q) == tuple(len(s) for s in scroll21_p_sets(q))
 
 
 def test_parity_simplex3():

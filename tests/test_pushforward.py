@@ -180,6 +180,25 @@ def test_scroll21_index_counts():
         assert all(len(a & b) == 0 for a, b in ((sets[0], sets[1]), (sets[0], sets[2]), (sets[1], sets[2])))
 
 
+def test_scroll21_index_sets_do_not_partition_the_cube():
+    # why verify has no sum row for scroll21: at odd q no set counts key
+    # (-1, 0), whose residues bring the sizes to q^3; at even q the sets
+    # count only even-sum residues, those of keys (0, 0) and (1, 0) twice
+    family = scroll21()
+    assert family.index_partition is False
+    for q in (3, 5, 9, 27):
+        keys = family.index_keys(q)
+        assert all((-1, 0) not in group for group in keys.values())
+        missing = family.class_key_counts(q)[(-1, 0)][0]
+        assert missing > 0
+        assert sum(pushforward.index_set_counts(family, q).values()) + missing == q ** 3
+    keys = family.index_keys(4)
+    assert (0, 0) in keys["R"] and (0, 0) in keys["A"]
+    assert (1, 0) in keys["R"] and (1, 0) in keys["BorC"]
+    assert all(parity == 0 for group in keys.values() for _, parity in group)
+    assert sum(pushforward.index_set_counts(family, 4).values()) == 61 != 4 ** 3
+
+
 def test_veronese_class_counts():
     # the paper route is the parity split ((q^3 + 1)/2, (q^3 - 1)/2)
     assert decompose(veronese2(), Q3, ROUTE_PAPER).as_dict() == {"R": 14, "A": 13}
@@ -315,6 +334,21 @@ def test_decompose_rank_accounting():
                 continue
             dec = decompose(family, ctx, ROUTE_CLASSES)
             assert dec.total_rank() == q ** family.ambient_vars
+
+
+def test_decompose_audits_the_rank_accounting():
+    # the residue route's one audit: the tagged ranks must sum to q^n, so a
+    # key count one too high fails it; the copy is decomposed uncached
+    family = scroll(3)
+
+    def off_by_one(q):
+        counts = family.class_key_counts(q)
+        count, first = counts[0]
+        return {**counts, 0: (count + 1, first)}
+
+    planted = redescribed(family, class_key_counts=off_by_one)
+    with pytest.raises(AuditFailure, match="rank accounting"):
+        pushforward._decompose_cached.__wrapped__(planted, context_from_q(5), ROUTE_CLASSES)
 
 
 def test_scroll21_free_classes_match_index_set():
