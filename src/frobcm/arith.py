@@ -106,10 +106,6 @@ class Polynomial(_Record):
         return cls(())
 
     @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
     def monomial(cls, coefficient: int, degree: int) -> "Polynomial":
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")

@@ -165,14 +165,12 @@ def _route_diff(multiplicities: list[dict[str, int]]) -> dict[str, int] | None:
     } or None
 
 
-def build_decompose_record(
-    family: RingFamily, ctx: FrobeniusContext, routes: list[str], max_i: int
-) -> dict:
+def build_decompose_record(estimates: list[invariants.FiniteQEstimates], max_i: int) -> dict:
+    family, ctx = estimates[0].family, estimates[0].ctx
     per_route = {}
-    for route in routes:
-        est = invariants.finite_q_estimates(family, ctx, route)
+    for est in estimates:
         dec = est.decomposition
-        per_route[route] = {
+        per_route[dec.route] = {
             "multiplicities": dict(dec.multiplicities),
             "sum_mult_times_mu": dec.total_min_generators(),
             "estimates": {
@@ -192,10 +190,10 @@ def build_decompose_record(
             "p": ctx.p,
             "e": ctx.e,
             "q": ctx.q,
-            "routes": list(routes),
+            "routes": list(per_route),
         },
         "decompositions": per_route,
-        "route_diff": _route_diff([per_route[r]["multiplicities"] for r in routes]),
+        "route_diff": _route_diff([r["multiplicities"] for r in per_route.values()]),
     }
 
 
@@ -208,21 +206,22 @@ def cmd_decompose(args) -> int:
             pushforward.default_route(family, ctx)  # raises: no route is legal
     else:
         routes = [pushforward.ROUTE_PAPER if args.route == "paper" else pushforward.ROUTE_CLASSES]
+    estimates = [invariants.finite_q_estimates(family, ctx, route) for route in routes]
     if args.format == "json":
-        print(_dump(build_decompose_record(family, ctx, routes, args.max_i)))
+        print(_dump(build_decompose_record(estimates, args.max_i)))
         return 0
     # every line is built before any is printed, so an error prints none
     lines = [f"ring {family.label}, p={ctx.p}, e={ctx.e}, q={ctx.q}"]
-    estimates = [invariants.finite_q_estimates(family, ctx, route) for route in routes]
-    for route, est in zip(routes, estimates):
-        mults = " ".join(f"{tag}={count}" for tag, count in est.decomposition.multiplicities)
-        lines.append(f"  route {route}: {mults}")
+    for est in estimates:
+        dec = est.decomposition
+        mults = " ".join(f"{tag}={count}" for tag, count in dec.multiplicities)
+        lines.append(f"  route {dec.route}: {mults}")
         lines.append(f"    estimates: s_est={est.s_est}, ehk_est={est.ehk_est}")
     diff = _route_diff([est.decomposition.as_dict() for est in estimates])
     if diff:
         diffs = " ".join(f"{k}:{v:+d}" for k, v in diff.items())
         lines.append(f"  route diff (classes minus paper): {diffs}")
-    elif len(routes) == 2:
+    elif len(estimates) == 2:
         lines.append("  routes agree exactly")
     print("\n".join(lines))
     return 0
@@ -288,7 +287,7 @@ def _hilbert_rows(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     if skip:
         return [(f"hilbert[q={q}]", True, skip)]
     name = f"hilbert[q={q}] class dimensions vs tag series"
-    for key, (first, tag) in tags.items():
+    for key, (_, first, tag) in tags.items():
         found = oracle.class_degree_counts(family, q, first, HILBERT_DEGREES)
         series = mcm.module_hilbert_series(mcm.class_by_tag(family, tag))
         # nonzero at every base-th degree from its lowest term on

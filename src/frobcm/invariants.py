@@ -111,7 +111,7 @@ class ConvergenceCheck(_Record):
 
 
 class ConvergenceReport(_Record):
-    __slots__ = ("family", "limits", "checks")
+    __slots__ = ("family", "checks")
 
     @property
     def ok(self) -> bool:
@@ -158,4 +158,4 @@ def convergence_check(family: RingFamily, q_list: list[int]) -> ConvergenceRepor
             # free and canonical multiplicities share the same limit
             witness = abs(est.s_est - est.canonical_est)
             add("free_vs_canonical", witness, Fraction(0), envelope)
-    return ConvergenceReport(family, lim, tuple(checks))
+    return ConvergenceReport(family, tuple(checks))

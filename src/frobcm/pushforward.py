@@ -14,7 +14,9 @@ tag.
 * ``residue_classes``: one minimal-generator search finds it.  The module of
   q-th roots splits as the direct sum of its residue-class submodules
   (fractional monomials with fixed exponents mod q); the first residue of
-  each key is classified by reading off mu.  This route is the ground
+  each key is classified by reading off mu.  ``class_key_tags`` is the one
+  walk over the keys: it maps each key to its residue count, first residue
+  and tag, and the route sums the counts per tag.  This route is the ground
   truth: it is defined for every q with p coprime to the grading torsion.
 
 ``legal_routes`` decides where each route may run, from one refusal per
@@ -250,26 +252,22 @@ def _decompose_cached(
     return dec
 
 
-def _tagged_keys(family: RingFamily, ctx: FrobeniusContext):
-    """Yield (key, residue count, first residue, tag) for each class key with
-    residues at ctx, from one ``class_key_counts`` and one minimal-generator
-    search per key."""
+def class_key_tags(
+    family: RingFamily, ctx: FrobeniusContext
+) -> dict[object, tuple[int, tuple[int, ...], str]]:
+    """Each class key with residues at ctx -> (its residue count, its first
+    residue, its tag), from one ``class_key_counts`` and one
+    minimal-generator search per key, the tag read off mu."""
     q = ctx.q
+    tags = {}
     for key, (count, first) in family.class_key_counts(q).items():
         if count == 0:
             continue
         if family.class_key(q, first) != key:
             raise AuditFailure(f"{first} does not have class key {key} at q={q}")
         mu = class_minimal_generators(family, ctx, first).mu
-        yield key, count, first, mcm.class_tag_for_mu(family, mu)
-
-
-def class_key_tags(
-    family: RingFamily, ctx: FrobeniusContext
-) -> dict[object, tuple[tuple[int, ...], str]]:
-    """Each class key with residues at ctx -> (its first residue, its tag),
-    the tag read off mu by one minimal-generator search per key."""
-    return {key: (first, tag) for key, _, first, tag in _tagged_keys(family, ctx)}
+        tags[key] = (count, first, mcm.class_tag_for_mu(family, mu))
+    return tags
 
 
 def _residue_class_multiplicities(
@@ -281,7 +279,7 @@ def _residue_class_multiplicities(
     the cost is independent of q.
     """
     counts: dict[str, int] = {}
-    for _, count, _, tag in _tagged_keys(family, ctx):
+    for count, _, tag in class_key_tags(family, ctx).values():
         counts[tag] = counts.get(tag, 0) + count
     return counts
 

@@ -95,6 +95,8 @@ def context_from_q(q: int) -> FrobeniusContext:
     The primes up to 37 are tried by division.  Past them p is the exact
     e-th root of q for the largest e that has one, so no search grows with p.
     """
+    if not isinstance(q, int) or isinstance(q, bool):
+        raise ValueError(f"q must be an integer, got {q!r}")
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
     for p in range(2, 38):
@@ -435,6 +437,8 @@ def parse_ring(text: str) -> RingFamily:
         tail = text.split(":", 1)[1]
         try:
             delta = int(tail)
+            if str(delta) != tail:  # "+3", " 3", "1_0", "03": another label
+                raise ValueError
         except ValueError:
             raise ValueError(f"bad scroll parameter {tail!r}") from None
         return scroll(delta)

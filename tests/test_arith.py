@@ -150,7 +150,7 @@ def test_series_coefficients_agree_with_long_division():
         h = HilbertSeries(num, pole, base=base)
         upto = 14
         coeffs = h.coefficients(upto)
-        denominator = Polynomial.one()
+        denominator = Polynomial((1,))
         one_minus = Polynomial((1,) + (0,) * (h.base - 1) + (-1,))
         for _ in range(h.pole_order):
             denominator = denominator * one_minus

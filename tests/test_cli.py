@@ -532,6 +532,16 @@ def test_verify_bad_ring(capsys):
     assert "unknown ring" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["scroll:1_0", "scroll:+3", "scroll: 3", "scroll:\u0663", "scroll:03"]
+)
+def test_scroll_parameter_is_ascii_digits(capsys, text):
+    # int() reads each of these, but none is the label its ring prints
+    code, _, err = run(capsys, ["decompose", "--ring", text, "--p", "3", "--e", "1"])
+    assert code == 2
+    assert "bad scroll parameter" in err
+
+
 def test_json_round_trip_and_determinism(capsys):
     argv = ["decompose", "--ring", "scroll21", "--p", "3", "--e", "1", "--format", "json"]
     _, first, _ = run(capsys, argv)

@@ -37,6 +37,7 @@ the same pass, fail and skip as before.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,38 @@ def test_decompose_json_matches_golden(capsys, ring, q):
     else:
         assert code == 0
         assert (out, err) == (stem.with_suffix(".json").read_text(), "")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN.glob("decompose_*.json")), ids=lambda path: path.stem
+)
+def test_decompose_text_matches_golden_json(capsys, path):
+    # text prints the multiplicities, s_est, ehk_est and route diff of the
+    # same estimates as the JSON
+    record = json.loads(path.read_text())
+    command = record["command"]
+    p, e, q, label = command["p"], command["e"], command["q"], command["family"]
+    assert main(["decompose", "--ring", label, "--p", str(p), "--e", str(e)]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == f"ring {label}, p={p}, e={e}, q={q}"
+    routes = command["routes"]
+    for route, mults_line, est_line in zip(routes, lines[0::2], lines[1::2]):
+        dec = record["decompositions"][route]
+        name, mults = mults_line.split(": ")
+        assert name == f"  route {route}"
+        assert dict(pair.split("=") for pair in mults.split()) == {
+            tag: str(count) for tag, count in dec["multiplicities"].items()
+        }
+        est = dec["estimates"]
+        s, ehk = (Fraction(est[k]["num"], est[k]["den"]) for k in ("s", "ehk"))
+        assert est_line == f"    estimates: s_est={s}, ehk_est={ehk}"
+    diff = record["route_diff"]
+    if diff:
+        diffs = " ".join(f"{tag}:{count:+d}" for tag, count in diff.items())
+        tail = [f"  route diff (classes minus paper): {diffs}"]
+    else:
+        tail = ["  routes agree exactly"] if len(routes) == 2 else []
+    assert lines[2 * len(routes):] == tail
 
 
 @pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("json", "json"), ("csv", "csv")])

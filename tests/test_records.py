@@ -86,11 +86,9 @@ RECORDS = [
     ),
     (_check, "ok", CHECK),
     (
-        lambda: ConvergenceReport(
-            scroll(3), InvariantReport(scroll(3), Fraction(1, 3), Fraction(2)), (_check(),)
-        ),
+        lambda: ConvergenceReport(scroll(3), (_check(),)),
         "checks",
-        f"ConvergenceReport(family={S3}, limits={REPORT}, checks=({CHECK},))",
+        f"ConvergenceReport(family={S3}, checks=({CHECK},))",
     ),
     (
         lambda: ColengthResult(scroll(3), FrobeniusContext(3, 1), 45, Fraction(5, 1)),

@@ -189,6 +189,10 @@ def test_context_from_q(capsys):
         context_from_q(12)
     with pytest.raises(ValueError):
         context_from_q(1)
+    # a float or bool is refused like a float or bool p or e, not factored
+    for q in (41.0, 4.5, 4.0, True):
+        with pytest.raises(ValueError, match="q must be an integer"):
+            context_from_q(q)
     # every q < 10^5 against the prime powers of a sieve
     limit = 10**5
     sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
