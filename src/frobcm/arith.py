@@ -105,12 +105,6 @@ class Polynomial(_Record):
     def zero(cls) -> "Polynomial":
         return cls(())
 
-    @classmethod
-    def monomial(cls, coefficient: int, degree: int) -> "Polynomial":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (coefficient,))
-
     @property
     def degree(self) -> int:
         """Degree, with -1 as the sentinel for the zero polynomial."""

@@ -28,10 +28,11 @@ from .rings import (
 SUITES = ("counts", "syzygy", "colength", "convergence", "all")
 
 # Largest work estimate (colength rows, enumeration twin points, hilbert
-# class points) a brute-force check may run.  Over it the check reports a
-# passing "skipped" row that states the estimate.  It is the one limit:
+# class points, residue-route box points, syzygy edges) a check or the
+# residue route may run.  Over it a check reports a passing "skipped" row
+# that states the estimate, and decompose refuses.  It is the one limit:
 # every twin streams its points and keeps only counts, so work, not memory,
-# is what grows with q.
+# is what grows with q and delta.
 WORK_BUDGET = 10_000_000
 
 
@@ -200,12 +201,22 @@ def build_decompose_record(estimates: list[invariants.FiniteQEstimates], max_i: 
 def cmd_decompose(args) -> int:
     family = parse_ring(args.ring)
     ctx = FrobeniusContext(args.p, args.e)
+    legal = pushforward.legal_routes(family, ctx)
     if args.route == "both":
-        routes = pushforward.legal_routes(family, ctx)
+        routes = legal
         if not routes:
             pushforward.default_route(family, ctx)  # raises: no route is legal
     else:
         routes = [pushforward.ROUTE_PAPER if args.route == "paper" else pushforward.ROUTE_CLASSES]
+    if pushforward.ROUTE_CLASSES in routes and pushforward.ROUTE_CLASSES in legal:
+        # the searches grow with delta, not q: refuse before any of them runs
+        work = pushforward.residue_route_work(family, ctx)
+        if _over_budget(work):
+            paper = " or use --route paper" if pushforward.ROUTE_PAPER in legal else ""
+            raise ValueError(
+                f"residue-class route work estimate {work} over budget "
+                f"{WORK_BUDGET}; lower delta{paper}"
+            )
     estimates = [invariants.finite_q_estimates(family, ctx, route) for route in routes]
     if args.format == "json":
         print(_dump(build_decompose_record(estimates, args.max_i)))
@@ -248,6 +259,9 @@ def _suite_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
 
 def _scroll_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
     delta = family.delta
+    skip = _over_budget(oracle.scroll_syzygy_edges(delta))
+    if skip:
+        return [("syzygy closed sets", True, skip)]
     ok = all(oracle.verify_scroll_syzygy(delta, l) for l in range(1, delta))
     return [
         (
@@ -280,6 +294,10 @@ def _hilbert_rows(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     ctx = context_from_q(q)
     if not family.coprime_torsion(ctx):
         skip = f"skipped, p={ctx.p} divides the torsion index {family.torsion_index}"
+        return [(f"hilbert[q={q}]", True, skip)]
+    # the residue route's box points first, before any search runs
+    skip = _over_budget(pushforward.residue_route_work(family, ctx))
+    if skip:
         return [(f"hilbert[q={q}]", True, skip)]
     tags = pushforward.class_key_tags(family, ctx)
     work = len(tags) * oracle.class_degree_points(family, HILBERT_DEGREES)
@@ -318,6 +336,13 @@ def _suite_colength(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
 
 
 def _suite_convergence(family: RingFamily, q_list: list[int]) -> list[tuple[str, bool, str]]:
+    # a q whose default route is the residue route over budget skips the suite
+    for q in q_list:
+        ctx = context_from_q(q)
+        if pushforward.default_route(family, ctx) == pushforward.ROUTE_CLASSES:
+            skip = _over_budget(pushforward.residue_route_work(family, ctx))
+            if skip:
+                return [(f"convergence[q={q}]", True, skip)]
     return [(c.describe(), c.ok, "") for c in invariants.convergence_check(family, q_list).checks]
 
 

@@ -178,34 +178,31 @@ def enumerate_halfbox3(q: int) -> int:
     )
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _count_congruent_in_range(lo: int, hi: int, modulus: int, residue: int) -> int:
-    """#{n in [lo, hi) : n == residue mod modulus}."""
-    if hi <= lo:
-        return 0
-    return _ceil_div(hi - residue, modulus) - _ceil_div(lo - residue, modulus)
-
-
 def count_congruence_box(
     i_lo: int, i_hi: int, j_lo: int, j_hi: int, modulus: int, residue: int
 ) -> int:
     """Pairs in the half-open box [i_lo, i_hi) x [j_lo, j_hi) with
-    i + j == residue (mod modulus).  O(modulus) time."""
+    i + j == residue (mod modulus).  O(1) arithmetic operations.
+
+    Each side is whole periods, in which every residue occurs equally often,
+    plus one cyclic interval of leftover residues.  The leftover i residues
+    meet a j partner in the leftover j interval exactly on the intersection
+    of two cyclic intervals of residues.
+    """
     if i_lo > i_hi or j_lo > j_hi:
         raise ValueError("box bounds must satisfy lo <= hi")
     if modulus < 1:
         raise ValueError("modulus must be at least 1")
-    total = 0
-    for a in range(modulus):
-        count_i = _count_congruent_in_range(i_lo, i_hi, modulus, a)
-        if count_i == 0:
-            continue
-        b = (residue - a) % modulus
-        total += count_i * _count_congruent_in_range(j_lo, j_hi, modulus, b)
-    return total
+    periods_i, rest_i = divmod(i_hi - i_lo, modulus)
+    periods_j, rest_j = divmod(j_hi - j_lo, modulus)
+    # the leftover i residues are i_lo + t (0 <= t < rest_i); their partners
+    # residue - i lie in the leftover j residues j_lo + u (0 <= u < rest_j)
+    # exactly when t is in the cyclic interval from residue - j_lo - i_lo
+    # - (rest_j - 1) of length rest_j
+    start = (residue - j_lo - i_lo - rest_j + 1) % modulus
+    both = max(0, min(rest_i, start + rest_j) - start)
+    both += min(rest_i, max(0, start + rest_j - modulus))
+    return modulus * periods_i * periods_j + periods_i * rest_j + periods_j * rest_i + both
 
 
 def enumerate_congruence_box(

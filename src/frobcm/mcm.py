@@ -2,8 +2,9 @@
 
 Each family's constructor in ``rings`` records its Betti growth ratio and
 recurrences and one catalog row per class: its mu, rank, first Betti number,
-limiting density and graded Hilbert series where one is available.  This
-module turns the rows into ``SummandClass`` values and evaluates them.
+limiting density and graded Hilbert series where one is available, as plain
+numbers that only ``module_hilbert_series`` builds into a ``HilbertSeries``.
+This module turns the rows into ``SummandClass`` values and evaluates them.
 
 Tags follow the conventional letters: "M(l)" for the scroll modules (with
 "M(0)" the free class), and "R", "A", "B", "C", "D" for the three-dimensional
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import HilbertSeries, _Record
+from .arith import HilbertSeries, Polynomial, _Record
 from .rings import RingFamily
 
 
@@ -25,7 +26,8 @@ class UnsupportedClassError(ValueError):
 class SummandClass(_Record):
     # beta1 is the first Betti number; beta_i grows by family.betti_ratio after
     # it.  density is the limiting multiplicity / q^dim, 0 where it is not
-    # positive; series is the graded Hilbert series, None where none is recorded.
+    # positive; series is the row's (numerator terms, pole order, base), None
+    # where none is recorded, read through module_hilbert_series.
     __slots__ = ("family", "tag", "mu", "rank", "beta1", "density", "series")
 
     def betti(self, i: int) -> int:
@@ -51,10 +53,16 @@ def _catalog(family: RingFamily) -> tuple[SummandClass, ...]:
 
 
 def class_by_tag(family: RingFamily, tag: str) -> SummandClass:
-    for cls in catalog(family):
-        if cls.tag == tag:
-            return cls
-    raise UnsupportedClassError(f"{family.label} has no class tagged {tag!r}")
+    # one dict per family, so totals over a scroll's delta classes stay O(delta)
+    try:
+        return _classes_by_tag(family)[tag]
+    except KeyError:
+        raise UnsupportedClassError(f"{family.label} has no class tagged {tag!r}") from None
+
+
+@lru_cache(maxsize=None)
+def _classes_by_tag(family: RingFamily) -> dict[str, SummandClass]:
+    return {cls.tag: cls for cls in catalog(family)}
 
 
 def free_class(family: RingFamily) -> SummandClass:
@@ -87,11 +95,16 @@ def recurrence_residuals(family: RingFamily, i: int) -> list[int]:
 
 
 def module_hilbert_series(cls: SummandClass) -> HilbertSeries:
-    """Graded Hilbert series of the class, where its family records one: all
-    but scroll21's C and D (its other rows are derived here, not in the paper)."""
+    """Graded Hilbert series of the class, built from its catalog row where
+    its family records one: all but scroll21's C and D (its other rows are
+    derived here, not in the paper)."""
     if cls.series is None:
         raise UnsupportedClassError(f"no Hilbert series recorded for {cls}")
-    return cls.series
+    terms, pole_order, base = cls.series
+    coefficients = [0] * (max(degree for degree, _ in terms) + 1)
+    for degree, c in terms:
+        coefficients[degree] += c
+    return HilbertSeries(Polynomial(coefficients), pole_order, base)
 
 
 class ScrollSyzygy(_Record):

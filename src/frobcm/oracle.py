@@ -147,13 +147,18 @@ def class_degree_counts(
     degrees mod the torsion index T, from a degree <= T (scroll21's classes
     with i + j < k start at T), so m <= count * T holds the first ``count``.
     """
-    coordinates = range(len(residue))
+    n = len(residue)
     dims = []
     for m in range(count * family.torsion_index + 1):
-        # each multiset of m coordinates is one y with |y| = m
+        # stars and bars: n - 1 bars among m + n - 1 slots are one y with
+        # |y| = m, y_c the slots between bar c - 1 and bar c, so each point
+        # costs O(n), not O(m)
         points = (
-            tuple(r + q * picks.count(c) for c, r in enumerate(residue))
-            for picks in itertools.combinations_with_replacement(coordinates, m)
+            tuple(
+                r + q * (hi - lo - 1)
+                for r, lo, hi in zip(residue, (-1,) + bars, bars + (m + n - 1,))
+            )
+            for bars in itertools.combinations(range(m + n - 1), n - 1)
         )
         dims.append(sum(map(family.contains, points)))
     return [dim for dim in dims if dim][:count]
@@ -291,6 +296,13 @@ def verify_scroll_syzygy(delta: int, l: int) -> bool:
         if _span_dimension(edges) != expected_series.coefficient(degree):
             return False
     return True
+
+
+def scroll_syzygy_edges(delta: int) -> int:
+    """The edges ``verify_scroll_syzygy`` builds over l = 1..delta - 1, the
+    work estimate of verify's row: delta l syzygies times
+    sum_{step=1..4} ((step - 1) delta + 1) shifts for each l."""
+    return delta * delta * (delta - 1) * (3 * delta + 2)
 
 
 def verify_veronese_sequences() -> bool:

@@ -172,6 +172,15 @@ def default_route(family: RingFamily, ctx: FrobeniusContext) -> str:
     return routes[-1]
 
 
+def residue_route_work(family: RingFamily, ctx: FrobeniusContext) -> int:
+    """The box points the residue route scans at ctx: one
+    ``class_minimal_generators`` box of (torsion + 2)^n points per class key
+    with residues.  ``decompose`` itself is unbounded; the CLI holds this
+    estimate to its work budget before any search runs."""
+    keys = sum(1 for count, _ in family.class_key_counts(ctx.q).values() if count)
+    return keys * (family.torsion_index + 2) ** family.ambient_vars
+
+
 def class_minimal_generators(
     family: RingFamily, ctx: FrobeniusContext, residue: tuple[int, ...]
 ) -> ClassModule:

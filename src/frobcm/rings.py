@@ -8,8 +8,8 @@ recurrences, the residue class key with its closed per-key counts, the
 paper's index sets (the class keys whose residues each set counts, a literal
 twin counting each set point by point, and whether the sizes sum to q^dim),
 and the catalog of MCM classes, one row per class with its mu, rank, first
-Betti number, limiting density and Hilbert series (scroll21's derived here,
-not in the paper).
+Betti number, limiting density and Hilbert series as plain numbers
+(scroll21's derived here, not in the paper).
 
 * ``scroll(delta)``: subalgebra of k[x, y] spanned by monomials whose total
   degree is a multiple of delta; generators x^delta, x^(delta-1) y, ..., y^delta.
@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import lattice
-from .arith import HilbertSeries, Polynomial, _Record
+from .arith import _Record
 
 SCROLL = "scroll"
 SCROLL21 = "scroll21"
@@ -135,9 +135,9 @@ class RingFamily(_Record):
         "p2_refusal",  # why p = 2 has no theory, if it has none
         # Catalog rows (tag, mu, rank, beta_1, density, series), free class
         # first, in reporting order: density is the limiting multiplicity / q^dim
-        # (0 where it is not positive), series the graded Hilbert series (None
-        # where none is recorded); for i >= 1 every class has
-        # beta_i = beta_1 * betti_ratio^(i - 1).
+        # (0 where it is not positive), series the Hilbert series numerator terms
+        # ((degree, coefficient), ...), pole order and base (None where none is
+        # recorded); for i >= 1 every class has beta_i = beta_1 * betti_ratio^(i - 1).
         "classes",
         "betti_ratio",
         "s",
@@ -240,12 +240,6 @@ def _scroll(d: int) -> RingFamily:
             for l in range(d)
         )
 
-    # the classes keep the ambient grading: sum_{k>=0} (k d + l + 1) t^(k d + l)
-    # in closed form, over (1 - t^d)^2
-    def series(l):
-        num = Polynomial.monomial(l + 1, l) + Polynomial.monomial(d - 1 - l, l + d)
-        return HilbertSeries(num, 2, base=d)
-
     return RingFamily(
         SCROLL,
         d,
@@ -253,8 +247,11 @@ def _scroll(d: int) -> RingFamily:
         torsion_index=d,
         generators=tuple((d - k, k) for k in range(d + 1)),
         member=lambda v: (v[0] + v[1]) % d == 0,
+        # the classes keep the ambient grading: sum_{k>=0} (k d + l + 1) t^(k d + l)
+        # in closed form, ((l + 1) t^l + (d - 1 - l) t^(l + d)) / (1 - t^d)^2
         classes=tuple(
-            (f"M({l})", l + 1, 1, d * l, Fraction(1, d), series(l)) for l in range(d)
+            (f"M({l})", l + 1, 1, d * l, Fraction(1, d), (((l, l + 1), (l + d, d - 1 - l)), 2, d))
+            for l in range(d)
         ),
         betti_ratio=d - 1,
         s=Fraction(1, d),
@@ -334,7 +331,7 @@ def scroll21() -> RingFamily:
                     sizes[0 if i < q else 1 if sigma < 2 * q else 2] += 1
         return tuple(sizes)
 
-    b_series = HilbertSeries(Polynomial((0, 0, 0, 3)), 3)
+    b_series = (((3, 3),), 3, 1)
     return RingFamily(
         SCROLL21,
         ambient_vars=3,
@@ -348,8 +345,8 @@ def scroll21() -> RingFamily:
         # whole Betti sequence, and nothing downstream distinguishes them; it
         # takes B's series, since C's differs from it by a shift.
         classes=(
-            ("R", 1, 1, 0, Fraction(5, 12), HilbertSeries(Polynomial((1, 2)), 3)),
-            ("A", 2, 1, 3, Fraction(5, 12), HilbertSeries(Polynomial((0, 0, 2, 1)), 3)),
+            ("R", 1, 1, 0, Fraction(5, 12), (((0, 1), (1, 2)), 3, 1)),
+            ("A", 2, 1, 3, Fraction(5, 12), (((2, 2), (3, 1)), 3, 1)),
             ("B", 3, 1, 6, 0, b_series),
             ("C", 3, 1, 6, 0, None),
             ("BorC", 3, 1, 6, Fraction(1, 6), b_series),
@@ -404,9 +401,9 @@ def veronese2() -> RingFamily:
             "ring is not the invariant ring of a sign action"
         ),
         classes=(
-            ("R", 1, 1, 0, Fraction(1, 2), HilbertSeries(Polynomial((1, 3)), 3)),
-            ("A", 3, 1, 8, Fraction(1, 2), HilbertSeries(Polynomial((0, 0, 3, 1)), 3)),
-            ("B", 8, 2, 24, 0, HilbertSeries(Polynomial((0, 0, 0, 8)), 3)),
+            ("R", 1, 1, 0, Fraction(1, 2), (((0, 1), (1, 3)), 3, 1)),
+            ("A", 3, 1, 8, Fraction(1, 2), (((2, 3), (3, 1)), 3, 1)),
+            ("B", 8, 2, 24, 0, (((3, 8),), 3, 1)),
         ),
         betti_ratio=3,
         s=Fraction(1, 2),

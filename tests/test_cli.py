@@ -232,6 +232,58 @@ def test_verify_hilbert_over_budget_is_skipped(monkeypatch):
     }
 
 
+def test_verify_over_budget_residue_route_skips_hilbert_and_convergence(monkeypatch):
+    # scroll:10 searches 5 keys of 12^2 box points at q = 3, all 10 at q = 7
+    monkeypatch.setattr(cli, "WORK_BUDGET", 1439)
+    skip = {"ok": True, "detail": "skipped, work estimate 1440 over budget 1439"}
+    monkeypatch.setattr(invariants, "convergence_check", None)  # never reached
+    record = build_verify_record(scroll(10), [3, 7], "convergence")
+    assert record["checks"] == [{"name": "convergence[q=7]", **skip}]
+    walked, real = [], pushforward.class_key_tags
+    monkeypatch.setattr(
+        pushforward, "class_key_tags", lambda family, ctx: walked.append(ctx.q) or real(family, ctx)
+    )
+    record = build_verify_record(scroll(10), [3, 7], "syzygy")
+    assert walked == [3]
+    # q = 3 walks its keys, then skips its 5 C(42, 2) class points
+    assert [c["detail"] for c in record["checks"][:2]] == [
+        "skipped, work estimate 4305 over budget 1439", skip["detail"]
+    ]
+
+
+def test_verify_syzygy_closed_sets_skip_from_delta_43(monkeypatch):
+    monkeypatch.setattr(oracle, "verify_scroll_syzygy", None)  # never called
+    record = build_verify_record(scroll(43), [7], "syzygy")
+    assert record["checks"][-1] == {
+        "name": "syzygy closed sets",
+        "ok": True,
+        "detail": f"skipped, work estimate 10173198 over budget {WORK_BUDGET}",
+    }
+
+
+@pytest.mark.parametrize(
+    "ring, p, advice",
+    (("scroll:1501", 3, "lower delta"), ("scroll:4000", 4001, "lower delta or use --route paper")),
+)
+def test_decompose_refuses_a_residue_route_over_budget(capsys, monkeypatch, ring, p, advice):
+    # refused before any search, and the paper route still runs where legal
+    monkeypatch.setattr(pushforward, "class_key_tags", None)
+    family = parse_ring(ring)
+    work = pushforward.residue_route_work(family, FrobeniusContext(p, 1))
+    for route in ("both", "classes"):
+        code, out, err = run(capsys, ["decompose", "--ring", ring, "--p", str(p), "--e", "1",
+                                      "--route", route])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: residue-class route work estimate {work} over budget "
+            f"{WORK_BUDGET}; {advice}\n"
+        )
+    if "paper" in advice:
+        code, out, _ = run(capsys, ["decompose", "--ring", ring, "--p", str(p), "--e", "1",
+                                    "--route", "paper"])
+        assert code == 0 and "route paper_index_sets: M(0)=4003 M(1)=4002" in out
+
+
 @pytest.mark.parametrize("delta", (2, 3, 6))
 def test_verify_iso_checks_one_class_per_l(monkeypatch, delta):
     # the hilbert row, which replaced the iso row, counts one class per key:
@@ -660,3 +712,55 @@ def test_closed_stdout_exits_without_a_traceback():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert "Traceback" not in err.decode(), err.decode()
+
+
+def frobcm_cli(*argv, timeout):
+    """The CLI in a fresh interpreter, as a shell runs it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(frobcm.__file__).parents[1]))
+    argv = [sys.executable, "-m", "frobcm.cli", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout)
+
+
+# A scroll whose every delta-sized cost (catalog rows, key counts, residue
+# route, syzygy sets) would hang a command that did not bound it.
+HUGE_SCROLL = "scroll:100000"
+
+
+def test_table1_answers_at_delta_100000():
+    proc = frobcm_cli("table1", "--families", HUGE_SCROLL, "--max-i", "4", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    row = proc.stdout.splitlines()[1].split()
+    assert row[:5] == [HUGE_SCROLL, "1/100000", "100001/2", "100000*99999^i/2", "4999950000"]
+
+
+def test_verify_at_delta_100000_skips_every_search():
+    # q = 3 < delta fails only the colength row's 4/q envelope, a guess that
+    # does not hold at q < delta (ROADMAP item 3); q = 100003 passes
+    proc = frobcm_cli("verify", "--ring", HUGE_SCROLL, "--q", "3,100003", "--format", "json",
+                      timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    checks = {c["name"]: (c["ok"], c["detail"]) for c in json.loads(proc.stdout)["checks"]}
+
+    def skip(work):
+        return (True, f"skipped, work estimate {work} over budget {WORK_BUDGET}")
+
+    assert checks == {
+        "counts[q=3]": (True, "skipped, index counts need q > delta, got q=3, delta=100000"),
+        "hilbert[q=3]": skip(5 * 100002 ** 2),
+        "colength[q=3] lambda/q^d near e_HK": (False, "lambda=500003, gap=99997/18"),
+        "counts[q=100003] index sets sum to q^2": (True, "10000600009 vs 10000600009"),
+        "counts[q=100003] index sets vs enumeration": skip(100000 * 100003 ** 2),
+        "hilbert[q=100003]": skip(100000 * 100002 ** 2),
+        "colength[q=100003]": skip(2 * 100003 * 100000),
+        "syzygy closed sets": skip(100000 ** 2 * 99999 * 300002),
+        "convergence[q=3]": skip(5 * 100002 ** 2),
+    }
+
+
+def test_decompose_at_delta_100000_names_the_budget():
+    proc = frobcm_cli("decompose", "--ring", HUGE_SCROLL, "--p", "3", "--e", "1", timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: residue-class route work estimate {5 * 100002 ** 2} over budget "
+        f"{WORK_BUDGET}; lower delta\n"
+    )

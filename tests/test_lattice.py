@@ -162,6 +162,30 @@ def test_congruence_box_matches_enumeration():
         ) == enumerate_congruence_box(i_lo, i_hi, j_lo, j_hi, modulus, residue)
 
 
+def test_congruence_box_matches_enumeration_exhaustively():
+    # every leftover interval of either side against every residue, the
+    # residue given unreduced too, and both leftover intervals wrapping
+    for i_lo in (-2, 0, 1):
+        for j_lo in (-1, 0, 2):
+            for width_i in range(8):
+                for width_j in range(8):
+                    for modulus in range(1, 6):
+                        for residue in range(-1, modulus + 1):
+                            box = (i_lo, i_lo + width_i, j_lo, j_lo + width_j, modulus, residue)
+                            assert count_congruence_box(*box) == enumerate_congruence_box(*box)
+
+
+def test_congruence_box_takes_no_time_in_the_modulus():
+    # a scroll's class key counts at delta = 10^5 and q = 3, and a modulus
+    # no loop over its residues could finish
+    for modulus in (100_000, 10 ** 30):
+        for residue in (0, 4, 5, modulus - 1):
+            box = (0, 3, 0, 3, modulus, residue)
+            assert count_congruence_box(*box) == enumerate_congruence_box(*box)
+    side = 10 ** 30 + 5
+    assert sum(count_congruence_box(0, side, 3, side, 7, r) for r in range(7)) == side * (side - 3)
+
+
 def test_congruence_box_residues_partition():
     for modulus in range(1, 6):
         total = sum(

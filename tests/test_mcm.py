@@ -1,5 +1,6 @@
 import pytest
 
+from frobcm import arith, mcm, rings
 from frobcm.arith import HilbertSeries, Polynomial
 from frobcm.invariants import limits
 from frobcm.mcm import (
@@ -32,6 +33,24 @@ def test_catalog_mu_and_rank():
     assert by_tag["B"].rank == 2
 
 
+def dense_series(cls):
+    """The series each catalog row records, written out densely here."""
+    if cls.family.kind == "scroll":
+        d, l = cls.family.delta, int(cls.tag[2:-1])
+        numerator = (0,) * l + (l + 1,) + (0,) * (d - 1) + (d - 1 - l,)
+        return HilbertSeries(Polynomial(numerator), 2, base=d)
+    numerators = {
+        ("scroll21", "R"): (1, 2),
+        ("scroll21", "A"): (0, 0, 2, 1),
+        ("scroll21", "B"): (0, 0, 0, 3),
+        ("scroll21", "BorC"): (0, 0, 0, 3),
+        ("veronese2", "R"): (1, 3),
+        ("veronese2", "A"): (0, 0, 3, 1),
+        ("veronese2", "B"): (0, 0, 0, 8),
+    }
+    return HilbertSeries(Polynomial(numerators[cls.family.kind, cls.tag]), 3)
+
+
 def test_each_catalog_row_carries_its_density_and_series():
     # the positive-density classes are the tags the residue route reports
     for family in (scroll(2), scroll(5), scroll21(), veronese2()):
@@ -44,7 +63,24 @@ def test_each_catalog_row_carries_its_density_and_series():
                 with pytest.raises(UnsupportedClassError):
                     module_hilbert_series(cls)
             else:
-                assert module_hilbert_series(cls) is cls.series
+                assert module_hilbert_series(cls) == dense_series(cls)
+
+
+def test_catalog_rows_are_hashable_numbers_built_without_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a HilbertSeries was built")
+
+    monkeypatch.setattr(arith.HilbertSeries, "__init__", refuse)
+    # the uncached constructors and catalog, so the family is built here
+    for family in (rings._scroll.__wrapped__(50), rings.scroll21.__wrapped__(),
+                   rings.veronese2.__wrapped__()):
+        for row in family.classes:
+            hash(row)
+        classes = mcm._catalog.__wrapped__(family)
+        assert len(set(classes)) == len(classes)
+    assert scroll(7).classes[2][5] == (((2, 3), (9, 4)), 2, 7)
+    with pytest.raises(AssertionError, match="HilbertSeries was built"):
+        module_hilbert_series(class_by_tag(scroll(7), "M(2)"))
 
 
 def test_free_class():

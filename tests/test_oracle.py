@@ -15,6 +15,7 @@ from frobcm.oracle import (
     colength_rows,
     lambda_frobenius_quotient,
     min_gens_pushforward,
+    scroll_syzygy_edges,
     verify_scroll_syzygy,
     verify_veronese_sequences,
 )
@@ -271,6 +272,18 @@ def test_class_degree_points():
     assert class_degree_points(scroll21(), 4) == 165  # |y| <= 8 in N^3
     assert class_degree_points(scroll(3), 4) == 91  # |y| <= 12 in N^2
     assert class_degree_points(veronese2(), 2) == 35
+    # the estimate is the membership tests class_degree_counts makes
+    from test_pushforward import redescribed
+
+    for family in (scroll(3), scroll(40), scroll21(), veronese2()):
+        calls = []
+
+        def member(vec, real=family.member):
+            calls.append(vec)
+            return real(vec)
+
+        class_degree_counts(redescribed(family, member=member), 5, (1,) * family.ambient_vars, 4)
+        assert len(calls) == class_degree_points(family, 4), family
 
 
 def test_min_gens_pinned():
@@ -392,3 +405,23 @@ def test_scroll_syzygy_range_errors():
 
 def test_veronese_sequences():
     assert verify_veronese_sequences()
+
+
+def test_scroll_syzygy_edges_are_the_edges_built(monkeypatch):
+    import frobcm.oracle as oracle
+
+    built = []
+    real = oracle._span_dimension
+
+    def counting(edges):
+        built.append(len(edges))
+        return real(edges)
+
+    monkeypatch.setattr(oracle, "_span_dimension", counting)
+    for delta in range(2, 9):
+        built.clear()
+        assert all(verify_scroll_syzygy(delta, l) for l in range(1, delta))
+        assert sum(built) == scroll_syzygy_edges(delta), delta
+    # the verify row runs through delta = 42 and skips from 43 on
+    assert scroll_syzygy_edges(10) == 28_800
+    assert scroll_syzygy_edges(42) <= 10_000_000 < scroll_syzygy_edges(43)

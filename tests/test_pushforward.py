@@ -21,6 +21,7 @@ from frobcm.pushforward import (
     decompose,
     default_route,
     legal_routes,
+    residue_route_work,
     scroll21_index_counts,
     scroll_index_counts,
     verify_summand_iso_scroll,
@@ -477,6 +478,27 @@ def test_residue_route_reads_the_key_counts_once(monkeypatch):
             dec = decompose(counted, ctx, ROUTE_CLASSES)
             assert calls == [ctx.q], (family, ctx)
             assert dec == decompose(family, ctx, ROUTE_CLASSES)
+
+
+@pytest.mark.parametrize("ring", ("scroll:2", "scroll:4", "scroll:10", "scroll21", "veronese2"))
+def test_residue_route_work_is_the_member_calls_of_the_searches(ring):
+    # every box point of every search is one family.member call; at q = 3 a
+    # scroll:10 has residues in 5 of its 10 keys, at q = 7 in all of them
+    family = parse_ring(ring)
+    for ctx in (Q3, FrobeniusContext(7, 1), FrobeniusContext(3, 5)):
+        calls = []
+
+        def member(vec, real=family.member):
+            calls.append(vec)
+            return real(vec)
+
+        class_key_tags(redescribed(family, member=member), ctx)
+        assert len(calls) == residue_route_work(family, ctx), (ring, ctx)
+
+
+def test_residue_route_work_at_delta_100000():
+    # keys 0..4 hold the residues (i, j) in [0, 3)^2; each box is 100002^2
+    assert residue_route_work(scroll(100_000), Q3) == 5 * 100_002 ** 2
 
 
 def test_class_key_determines_tag_at_large_q():
