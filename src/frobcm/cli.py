@@ -81,9 +81,10 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _q_list(text: str) -> list[int]:
-    """argparse type for ``--q``: comma separated integers, each given once."""
+    """argparse type for ``--q``: comma separated integers, each given once;
+    an empty item ("3,,5", "3,") is refused, not dropped."""
     try:
-        q_list = [int(part) for part in text.split(",") if part.strip()]
+        q_list = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma separated prime powers, got {text!r}"

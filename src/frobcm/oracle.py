@@ -2,11 +2,12 @@
 
 Everything here works over bounded exponent regions from the ring membership
 and coverage conditions alone; none of the closed-form counting operations
-are called.  The colength counts the box row by row, each row's uncovered
-points being one interval counted by a step formula; the generator count
-enumerates points.  Bounds are audited at runtime (the colength on its
-rows): when an audit fails the oracle raises instead of reporting a count
-that might be wrong.
+are called.  The colength counts the box cell by cell, reading each
+family's ``colength_cell`` rule: for every prefix sum of a cell the
+uncovered points form one interval of the last coordinate, counted by a step
+formula; the generator count enumerates points.  Bounds are audited at
+runtime (the colength on the box's outer layer): when an audit fails the
+oracle raises instead of reporting a count that might be wrong.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import comb
 from . import mcm
 from .arith import HilbertSeries, Polynomial, _Record
 from .errors import AuditFailure
-from .rings import SCROLL, SCROLL21, VERONESE2, FrobeniusContext, RingFamily, scroll, veronese2
+from .rings import FrobeniusContext, RingFamily, scroll, veronese2
 
 
 class ColengthResult(_Record):
@@ -31,110 +32,64 @@ def lambda_frobenius_quotient(family: RingFamily, ctx: FrobeniusContext) -> Cole
     Counts semigroup points outside m^[q] in the box [0, 2 q G)^n, G the
     largest generator coordinate.  Any point outside the box is in m^[q]:
     subtracting q times a suitable generator always lands back in the
-    semigroup once some coordinate reaches 2 q G.  The count runs row by row
-    (a row fixes every coordinate but the last): on each row the uncovered
-    points form one interval of a congruence class, read off the kernel's
-    coverage conditions and counted by one step formula.  The outermost
-    q-thick layer of the box must already be clean, which is audited on the
-    rows: a nonempty row that starts in the layer, or whose interval reaches
-    into it, raises.
+    semigroup once some coordinate reaches 2 q G.  The count runs cell by
+    cell (a cell is a q-aligned cube of the first n - 1 coordinates): the
+    family's ``colength_cell`` gives the uncovered interval of the last
+    coordinate for each prefix sum s, whose members are the points congruent
+    to -s mod the torsion index.  The outermost q-thick layer of the box must
+    already be clean, which is audited: an uncovered point in a cell of the
+    layer, or one whose last coordinate reaches into it, raises.
     """
     family.validate_context(ctx)
     q = ctx.q
-    bound, band = _colength_box(family, q)
-    count = _COLENGTH_KERNELS[family.kind](family, q, bound, band)
+    count = _colength_count(family, q, _box_side(family))
     return ColengthResult(family, ctx, count, Fraction(count, q ** family.ambient_vars))
 
 
 def colength_rows(family: RingFamily, ctx: FrobeniusContext) -> int:
-    """The rows of the colength box at ctx: the work estimate for verify.
-
-    An upper bound on the rows ``lambda_frobenius_quotient`` scans: of the
-    box's 16 q^2 rows, the scroll21 kernel scans 9 q^2, veronese2's 4 q^2.
-    """
-    bound, _ = _colength_box(family, ctx.q)
-    return bound ** (family.ambient_vars - 1)
+    """The (cell, prefix sum) pairs ``lambda_frobenius_quotient`` visits at
+    ctx, the work estimate for verify: (2G)^(n-1) cells, each with
+    (n - 1)(q - 1) + 1 prefix sums."""
+    m = family.ambient_vars - 1
+    return _box_side(family) ** m * (m * (ctx.q - 1) + 1)
 
 
-def _colength_box(family: RingFamily, q: int) -> tuple[int, int]:
-    """The box bound 2 q G and the start of its audited outer layer."""
-    bound = 2 * q * max(c for g in family.generators for c in g)
-    return bound, bound - q
+def _box_side(family: RingFamily) -> int:
+    """The colength box's side 2 q G in units of q."""
+    return 2 * max(c for g in family.generators for c in g)
 
 
-def _lambda_scroll(delta: int, q: int, bound: int, band: int) -> int:
-    # members: i + j divisible by delta; m^[q] needs floor(i/q) + floor(j/q)
-    # to fit some split (delta - k, k), i.e. the floors must sum to delta.
-    # Row i is uncovered exactly for j < (delta - min(delta, i // q)) q.
+def _colength_count(family: RingFamily, q: int, side: int) -> int:
+    """Uncovered members of the box [0, side q)^n, audited on its outer
+    q-layer: one interval count per cell and prefix sum."""
+    m = family.ambient_vars - 1
+    torsion = family.torsion_index
+    rule = family.colength_cell
+    band = (side - 1) * q
+    # prefixes in one cell by their sum t above the cell's corner: points of
+    # [0, q)^m with sum t, by inclusion-exclusion over the coordinates >= q
+    prefixes = [
+        sum(
+            (-1) ** k * comb(m, k) * comb(t - k * q + m - 1, m - 1)
+            for k in range(min(m, t // q) + 1)
+        )
+        for t in range(m * (q - 1) + 1)
+    ]
     count = 0
-    for i in range(bound):
-        hi = min(bound, (delta - min(delta, i // q)) * q)
-        start = (-i) % delta
-        if start >= hi:
-            continue
-        top = hi - 1 - (hi - 1 - start) % delta
-        if i >= band or top >= band:
-            raise AuditFailure("scroll colength box audit failed")
-        count += (top - start) // delta + 1
-    return count
-
-
-def _lambda_scroll21(q: int, bound: int, band: int) -> int:
-    # members: i + j + k even and i + j >= k; coverage subtracts q times one
-    # of x^2, xy, y^2 (dropping i + j - k by 2q) or xz, yz (preserving it).
-    # On row (i, j) the first three leave k > i + j - 2q uncovered when one
-    # of them fits, the last two k < q; rows past i or j = 3q are empty.
-    q2 = 2 * q
-    rows = min(bound, 3 * q)
-    count = 0
-    for i in range(rows):
-        for j in range(rows):
-            s = i + j
-            lo = s % 2
-            if i >= q2 or j >= q2 or (i >= q and j >= q):
-                lo = max(lo, s - q2 + 2)
-            top = min(s, bound - 1)
-            if i >= q or j >= q:
-                top = min(top, q - 1)
-            top -= (top - s) % 2
-            if top < lo:
+    for cell in itertools.product(range(side), repeat=m):
+        outer = side - 1 in cell
+        for s, ways in enumerate(prefixes, q * sum(cell)):
+            lo, hi = rule(q, cell, s)
+            lo += (-s - lo) % torsion  # the first member at or above lo
+            points = (hi - lo + torsion - 1) // torsion
+            if points <= 0:
                 continue
-            if i >= band or j >= band or top >= band:
-                raise AuditFailure("scroll21 colength box audit failed")
-            count += (top - lo) // 2 + 1
+            if outer or lo + (points - 1) * torsion >= band:
+                raise AuditFailure(
+                    f"{family.label} colength box audit failed at cell {cell}, prefix sum {s}"
+                )
+            count += ways * points
     return count
-
-
-def _lambda_veronese2(q: int, bound: int, band: int) -> int:
-    # members: even total degree; coverage needs two coordinates >= q or one
-    # coordinate >= 2q (parity is preserved automatically).  Row (i, j) is
-    # empty when i or j is >= 2q or both are >= q; otherwise k < q when one
-    # of them is >= q and k < 2q when neither is.
-    q2 = 2 * q
-    rows = min(bound, q2)
-    count = 0
-    for i in range(rows):
-        for j in range(rows):
-            if i >= q and j >= q:
-                continue
-            top = min(q - 1 if i >= q or j >= q else q2 - 1, bound - 1)
-            lo = (i + j) % 2
-            top -= (top - lo) % 2
-            if top < lo:
-                continue
-            if i >= band or j >= band or top >= band:
-                raise AuditFailure("veronese2 colength box audit failed")
-            count += (top - lo) // 2 + 1
-    return count
-
-
-# One hand-written row kernel per kind: the oracle's reference counts, kept
-# apart from the generic membership predicates and the class-key counts.
-_COLENGTH_KERNELS = {
-    SCROLL: lambda family, *box: _lambda_scroll(family.delta, *box),
-    SCROLL21: lambda family, *box: _lambda_scroll21(*box),
-    VERONESE2: lambda family, *box: _lambda_veronese2(*box),
-}
 
 
 def class_degree_counts(

@@ -7,9 +7,11 @@ tuples) and all the other modules read about it: the limits, Betti
 recurrences, the residue class key with its closed per-key counts, the
 paper's index sets (the class keys whose residues each set counts, a literal
 twin counting each set point by point, and whether the sizes sum to q^dim),
-and the catalog of MCM classes, one row per class with its mu, rank, first
-Betti number, limiting density and Hilbert series as plain numbers
-(scroll21's derived here, not in the paper).
+the colength cell rule the oracle counts m^[q]'s complement by (the uncovered
+interval of the last coordinate over one q-aligned cell of the others, with
+its derivation), and the catalog of MCM classes, one row per class with its
+mu, rank, first Betti number, limiting density and Hilbert series as plain
+numbers (scroll21's derived here, not in the paper).
 
 * ``scroll(delta)``: subalgebra of k[x, y] spanned by monomials whose total
   degree is a multiple of delta; generators x^delta, x^(delta-1) y, ..., y^delta.
@@ -132,6 +134,12 @@ class RingFamily(_Record):
         "torsion_index",  # the residue classes need p prime to it
         "generators",  # exponent vectors of the algebra generators
         "member",  # member(vec) on vectors >= 0
+        # colength_cell(q, cell, s) is the half-open interval [lo, hi), 0 <= lo,
+        # of the last coordinate that m^[q] leaves uncovered, over the points
+        # whose first n - 1 coordinates lie in the q-aligned cube
+        # q * cell + [0, q)^(n-1) and sum to s; the oracle keeps the members of
+        # it, whose coordinate sums are all divisible by torsion_index
+        "colength_cell",
         "p2_refusal",  # why p = 2 has no theory, if it has none
         # Catalog rows (tag, mu, rank, beta_1, density, series), free class
         # first, in reporting order: density is the limiting multiplicity / q^dim
@@ -247,6 +255,9 @@ def _scroll(d: int) -> RingFamily:
         torsion_index=d,
         generators=tuple((d - k, k) for k in range(d + 1)),
         member=lambda v: (v[0] + v[1]) % d == 0,
+        # m^[q] needs floor(i/q) + floor(j/q) to fit some split (d - k, k), i.e.
+        # the floors must sum to at least d: in cell a, j < (d - min(d, a)) q
+        colength_cell=lambda q, cell, s: (0, (d - min(d, cell[0])) * q),
         # the classes keep the ambient grading: sum_{k>=0} (k d + l + 1) t^(k d + l)
         # in closed form, ((l + 1) t^l + (d - 1 - l) t^(l + d)) / (1 - t^d)^2
         classes=tuple(
@@ -331,6 +342,15 @@ def scroll21() -> RingFamily:
                     sizes[0 if i < q else 1 if sigma < 2 * q else 2] += 1
         return tuple(sizes)
 
+    def colength_cell(q, cell, s):
+        # coverage subtracts q times one of x^2, xy, y^2, dropping s - k by 2q,
+        # so k <= s - 2q is covered when some index is >= 2 or both are >= 1
+        # (lo is the next k of the parity of s), or xz, yz, preserving s - k,
+        # so k >= q is covered when an index is >= 1; membership caps k at s
+        a, b = cell
+        lo = s - 2 * q + 2 if max(a, b) >= 2 or min(a, b) >= 1 else 0
+        return lo, (s + 1 if a == b == 0 else min(s + 1, q))
+
     b_series = (((3, 3),), 3, 1)
     return RingFamily(
         SCROLL21,
@@ -338,6 +358,7 @@ def scroll21() -> RingFamily:
         torsion_index=2,
         generators=((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)),
         member=lambda v: (v[0] + v[1] + v[2]) % 2 == 0 and v[0] + v[1] >= v[2],
+        colength_cell=colength_cell,
         # Each series is derived here, not in the paper, grading x^i y^j z^k by
         # (i + j + k) / 2: A = R.dual() is the canonical class; B = Omega(A),
         # the kernel of R(-2)^2 -> A, has 2 t^2 H(R) - H(A).  C and D have none.
@@ -385,6 +406,15 @@ def veronese2() -> RingFamily:
             out.append(3 * betti("A", i) - betti("B", i))
         return out
 
+    def colength_cell(q, cell, s):
+        # coverage needs two coordinates >= q or one >= 2q (parity is kept
+        # automatically): a cell with an index >= 2 or two indices >= 1 is
+        # covered, and otherwise k < q when one index is 1, k < 2q when none is
+        a, b = cell
+        if max(a, b) >= 2 or min(a, b) >= 1:
+            return 0, 0
+        return 0, (q if a or b else 2 * q)
+
     def index_sizes(q):
         # every triple has one parity, so the odd set is the rest of the cube
         even = lattice.enumerate_parity_box3(q, 0)
@@ -396,6 +426,7 @@ def veronese2() -> RingFamily:
         torsion_index=2,
         generators=((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)),
         member=lambda v: (v[0] + v[1] + v[2]) % 2 == 0,
+        colength_cell=colength_cell,
         p2_refusal=(
             "veronese2 needs odd characteristic: in characteristic two the "
             "ring is not the invariant ring of a sign action"

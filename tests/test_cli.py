@@ -516,17 +516,17 @@ def test_verify_reports_a_colength_audit_failure_as_a_failed_row(capsys, monkeyp
 
 
 def test_work_budget_admits_scroll21_colength_at_729():
-    # 8503056 rows: verify runs it in seconds rather than skipping it
-    assert colength_rows(scroll21(), context_from_q(729)) == 8503056 <= WORK_BUDGET
+    # 16 cells of 2q - 1 prefix sums: verify runs it at once
+    assert colength_rows(scroll21(), context_from_q(729)) == 23312 <= WORK_BUDGET
 
 
 def test_verify_colength_over_budget_is_skipped(capsys):
-    # scroll21 at q = 2187 scans (4 q)^2 = 76527504 rows
-    argv = ["verify", "--ring", "scroll21", "--q", "2187", "--suite", "colength"]
+    # scroll21 at q = 3^12 visits 16 (2q - 1) = 17006096 (cell, prefix sum) pairs
+    argv = ["verify", "--ring", "scroll21", "--q", "531441", "--suite", "colength"]
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert out == (
-        f"PASS colength[q=2187]  (skipped, work estimate 76527504 over budget {WORK_BUDGET})\n"
+        f"PASS colength[q=531441]  (skipped, work estimate 17006096 over budget {WORK_BUDGET})\n"
         "all 1 checks passed\n"
     )
 
@@ -549,6 +549,18 @@ def test_verify_non_integer_q(capsys):
     assert out == ""
     assert err.splitlines()[-1] == (
         "frobcm verify: error: argument --q: expected comma separated prime powers, got 'x'"
+    )
+
+
+@pytest.mark.parametrize("q_text", ["3,,5", "3,", ",3", ""])
+def test_verify_rejects_an_empty_q_item(capsys, q_text):
+    # an empty item is a typo, not a shorter list: "3,,5" must not run as "3,5"
+    code, out, err = run(capsys, ["verify", "--ring", "scroll:2", "--q", q_text])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "frobcm verify: error: argument --q: expected comma separated prime powers, "
+        f"got {q_text!r}"
     )
 
 

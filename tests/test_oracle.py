@@ -7,9 +7,7 @@ from frobcm.arith import Polynomial
 from frobcm.errors import AuditFailure
 from frobcm.mcm import scroll_syzygy_generators
 from frobcm.oracle import (
-    _lambda_scroll,
-    _lambda_scroll21,
-    _lambda_veronese2,
+    _colength_count,
     class_degree_counts,
     class_degree_points,
     colength_rows,
@@ -74,7 +72,7 @@ def test_lambda_matches_direct_enumeration():
             assert lambda_frobenius_quotient(family, ctx).colength == count
 
 
-ODD_Q = (3, 5, 7, 9, 11, 13, 25, 27, 49, 81)
+ODD_Q = (3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 243, 729, 2187, 6561)
 LAMBDA_AT_ODD_Q = {
     "scroll21": lambda q: (
         Fraction(7, 4) * q ** 3 - Fraction(1, 8) * q ** 2 - Fraction(1, 4) * q - Fraction(3, 8)
@@ -92,8 +90,9 @@ def test_lambda_is_a_quasi_polynomial_at_odd_q(ring):
         assert lam == LAMBDA_AT_ODD_Q[ring](q), (ring, q)
 
 
-# Point-by-point stepping twins of the row kernels: each visits every member
-# of the box and tests the kernel's coverage conditions on it.
+# Point-by-point stepping twins of the cell count: each visits every member
+# of the box [0, bound)^n and tests the family's coverage conditions on it,
+# auditing the outer layer from band on.
 def stepping_scroll(delta, q, bound, band):
     count = 0
     for i in range(bound):
@@ -145,53 +144,64 @@ def stepping_veronese2(q, bound, band):
     return count
 
 
-def count_or_audit(kernel, *args):
+def count_or_audit(count, *args):
     try:
-        return kernel(*args)
+        return count(*args)
     except AuditFailure:
         return "audit"
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27))
 def test_row_kernels_match_stepping_twins(q):
-    # the box of lambda_frobenius_quotient, plus undersized boxes where the
-    # audits must fire at the same places
+    # the box of lambda_frobenius_quotient, plus undersized boxes (side q
+    # units) where the audits must fire at the same places
     for delta in range(2, 11):
-        for bound in (2 * q * delta, delta * q, (delta + 1) * q):
-            args = (delta, q, bound, bound - q)
-            assert count_or_audit(_lambda_scroll, *args) == count_or_audit(
-                stepping_scroll, *args
-            )
-    for bound, band in ((4 * q, 3 * q), (3 * q, 2 * q), (2 * q, q), (3 * q, 3 * q - 1)):
-        for row, step in ((_lambda_scroll21, stepping_scroll21), (_lambda_veronese2, stepping_veronese2)):
-            assert count_or_audit(row, q, bound, band) == count_or_audit(step, q, bound, band)
+        for side in (2 * delta, delta, delta + 1):
+            twin = count_or_audit(stepping_scroll, delta, q, side * q, (side - 1) * q)
+            assert count_or_audit(_colength_count, scroll(delta), q, side) == twin
+    for side in (4, 3, 2):
+        for family, step in ((scroll21(), stepping_scroll21), (veronese2(), stepping_veronese2)):
+            twin = count_or_audit(step, q, side * q, (side - 1) * q)
+            assert count_or_audit(_colength_count, family, q, side) == twin
 
 
 def test_undersized_boxes_raise():
     for q in (3, 5, 9, 27):
         # x^(2q) z^2 is outside m^[q] and reaches the layer at i = 2q, so
         # scroll21's audit rejects [0, 3q)^3
-        for kernel in (_lambda_scroll21, stepping_scroll21):
-            with pytest.raises(AuditFailure):
-                kernel(q, 3 * q, 2 * q)
+        with pytest.raises(AuditFailure):
+            _colength_count(scroll21(), q, 3)
+        with pytest.raises(AuditFailure):
+            stepping_scroll21(q, 3 * q, 2 * q)
         # x^q is outside m^[q] and lies in veronese2's layer [q, 2q)
-        for kernel in (_lambda_veronese2, stepping_veronese2):
-            with pytest.raises(AuditFailure):
-                kernel(q, 2 * q, q)
+        with pytest.raises(AuditFailure):
+            _colength_count(veronese2(), q, 2)
+        with pytest.raises(AuditFailure):
+            stepping_veronese2(q, 2 * q, q)
         # the scroll box [0, delta q)^2 is too small: points outside m^[q]
         # reach its outer q-layer
         for delta in (2, 5):
-            for kernel in (_lambda_scroll, stepping_scroll):
-                with pytest.raises(AuditFailure):
-                    kernel(delta, q, delta * q, (delta - 1) * q)
+            with pytest.raises(AuditFailure):
+                _colength_count(scroll(delta), q, delta)
+            with pytest.raises(AuditFailure):
+                stepping_scroll(delta, q, delta * q, (delta - 1) * q)
 
 
 def test_veronese2_three_q_box_keeps_the_count():
     # [0, 3q)^3 already holds every uncovered point of veronese2
     for q in (3, 5, 9, 25, 27):
         full = lambda_frobenius_quotient(veronese2(), context_from_q(q)).colength
-        assert _lambda_veronese2(q, 3 * q, 2 * q) == full
-    assert _lambda_veronese2(49, 3 * 49, 2 * 49) == 235297
+        assert _colength_count(veronese2(), q, 3) == full
+    assert _colength_count(veronese2(), 49, 3) == 235297
+
+
+def test_member_sums_are_divisible_by_the_torsion_index():
+    # the cell count keeps the points of each interval congruent to -s mod
+    # the torsion index, s the prefix sum: no member lies off that class
+    for family in (scroll(2), scroll(3), scroll(7), scroll21(), veronese2()):
+        n, torsion = family.ambient_vars, family.torsion_index
+        members = [v for v in product(range(3 * torsion + 2), repeat=n) if family.member(v)]
+        assert members and all(sum(v) % torsion == 0 for v in members), family
 
 
 # Written from the point-by-point stepping loops that preceded the row kernels.
@@ -218,9 +228,23 @@ def test_lambda_pinned_at_large_q(label):
 
 
 def test_colength_rows():
-    # one row per point of the box minus its last coordinate
+    # (2G)^(n-1) cells of (n - 1)(q - 1) + 1 prefix sums each
     assert colength_rows(scroll(5), context_from_q(3125)) == 2 * 3125 * 5
-    assert colength_rows(veronese2(), context_from_q(49)) == (4 * 49) ** 2
+    assert colength_rows(veronese2(), context_from_q(49)) == 16 * (2 * 49 - 1)
+    # the estimate is the colength_cell calls lambda_frobenius_quotient makes
+    from test_pushforward import redescribed
+
+    for family in (scroll(2), scroll(7), scroll21(), veronese2()):
+        for q in (1, 3, 5, 9):
+            calls = []
+
+            def rule(q_, cell, s, real=family.colength_cell):
+                calls.append((cell, s))
+                return real(q_, cell, s)
+
+            ctx = FrobeniusContext(3, 0) if q == 1 else context_from_q(q)
+            lambda_frobenius_quotient(redescribed(family, colength_cell=rule), ctx)
+            assert len(calls) == colength_rows(family, ctx), (family, q)
 
 
 def test_lambda_convergence_bound():
