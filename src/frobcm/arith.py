@@ -62,7 +62,6 @@ class _Record:
             key = lambda self, one=key: (one(self),)  # noqa: E731
         cls._compared = compared
         cls._key = staticmethod(key)
-        cls.__match_args__ = cls.__slots__  # as a dataclass sets it
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -121,9 +120,7 @@ class Polynomial(_Record):
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+        out = list(a) + [0] * (len(b) - len(a))
         for n, c in enumerate(b):
             out[n] += c
         return Polynomial(tuple(out))
@@ -152,19 +149,10 @@ class Polynomial(_Record):
     __rmul__ = __mul__
 
     def shift(self, l: int) -> "Polynomial":
-        """Multiply by t**l.  Negative l requires divisibility by t**(-l)."""
-        if l == 0 or self.is_zero:
-            return self
-        if l > 0:
-            return Polynomial((0,) * l + self.coefficients)
-        return self._shift_down(-l)
-
-    def _shift_down(self, m: int) -> "Polynomial":
-        if any(c != 0 for c in self.coefficients[:m]):
-            raise ValueError(
-                f"shift by t**(-{m}) would create negative-degree terms"
-            )
-        return Polynomial(self.coefficients[m:])
+        """Multiply by t**l, for l >= 0."""
+        if l < 0:
+            raise ValueError(f"shift by t**{l}: only l >= 0 is supported")
+        return Polynomial((0,) * l + self.coefficients)
 
     def reflected(self) -> "Polynomial":
         """t**degree * p(1/t): the coefficient sequence reversed."""
@@ -179,8 +167,6 @@ class Polynomial(_Record):
 
 def _divide_one_minus_power(poly: Polynomial, base: int) -> Polynomial | None:
     """Quotient of poly by (1 - t**base), or None when not divisible."""
-    if poly.is_zero:
-        return poly
     coeffs = poly.coefficients
     quotient = [0] * len(coeffs)
     for n, c in enumerate(coeffs):
@@ -195,7 +181,8 @@ class HilbertSeries(_Record):
     """Formal series numerator / (1 - t**base)**pole_order.
 
     Canonical form: the numerator is not divisible by (1 - t**base) unless it
-    is zero, and the zero series is stored with pole order 0 and base 1.
+    is zero, and the zero series, whose numerator divides every time, is
+    stored with pole order 0 and base 1.
     Coefficient extraction agrees with long division of the numerator by the
     expanded denominator.
     """
@@ -208,16 +195,13 @@ class HilbertSeries(_Record):
         if base < 1:
             raise ValueError("base must be at least 1")
         num, pole = numerator, pole_order
-        if num.is_zero:
-            num, pole, base = Polynomial.zero(), 0, 1
-        else:
-            while pole > 0:
-                reduced = _divide_one_minus_power(num, base)
-                if reduced is None:
-                    break
-                num, pole = reduced, pole - 1
-            if pole == 0:
-                base = 1
+        while pole > 0:
+            reduced = _divide_one_minus_power(num, base)
+            if reduced is None:
+                break
+            num, pole = reduced, pole - 1
+        if pole == 0:
+            base = 1
         super().__init__(num, pole, base)
 
     def coefficient(self, n: int) -> int:
@@ -240,7 +224,7 @@ class HilbertSeries(_Record):
         return [self.coefficient(n) for n in range(upto + 1)]
 
     def shift(self, l: int) -> "HilbertSeries":
-        """t**l times this series; negative l must not create degree < 0 terms."""
+        """t**l times this series, for l >= 0."""
         return HilbertSeries(self.numerator.shift(l), self.pole_order, self.base)
 
     def scale(self, c: int) -> "HilbertSeries":
@@ -255,36 +239,17 @@ class HilbertSeries(_Record):
         """
         if self.pole_order < 1:
             raise ValueError("dual needs pole order at least 1")
-        if self.numerator.is_zero:
-            return self
         top = self.base * self.pole_order
         num = self.numerator.reflected().shift(top - self.numerator.degree)
         return HilbertSeries(num, self.pole_order, self.base)
 
-    def _aligned(self, other: "HilbertSeries") -> tuple[Polynomial, Polynomial, int, int]:
-        if self.numerator.is_zero:
-            return Polynomial.zero(), other.numerator, other.pole_order, other.base
-        if other.numerator.is_zero:
-            return self.numerator, Polynomial.zero(), self.pole_order, self.base
-        if self.base != other.base:
-            raise ValueError("series with different bases cannot be combined")
-        base = self.base
-        pole = max(self.pole_order, other.pole_order)
-        one_minus = Polynomial((1,) + (0,) * (base - 1) + (-1,))
-        a, b = self.numerator, other.numerator
-        for _ in range(pole - self.pole_order):
-            a = a * one_minus
-        for _ in range(pole - other.pole_order):
-            b = b * one_minus
-        return a, b, pole, base
-
-    def __add__(self, other: "HilbertSeries") -> "HilbertSeries":
-        a, b, pole, base = self._aligned(other)
-        return HilbertSeries(a + b, pole, base)
-
     def __sub__(self, other: "HilbertSeries") -> "HilbertSeries":
-        a, b, pole, base = self._aligned(other)
-        return HilbertSeries(a - b, pole, base)
+        """Difference of two series over the same denominator."""
+        if (self.pole_order, self.base) != (other.pole_order, other.base):
+            raise ValueError(
+                "only series with the same pole order and base can be subtracted"
+            )
+        return HilbertSeries(self.numerator - other.numerator, self.pole_order, self.base)
 
     def multiplicity(self) -> int:
         """Numerator evaluated at 1: the leading-order density of the series."""

@@ -124,8 +124,8 @@ class ConvergenceReport(_Record):
 def convergence_check(family: RingFamily, q_list: list[int]) -> ConvergenceReport:
     """Check the estimates at each q against fixed 4/q envelopes.
 
-    For i >= 1 the Betti envelope scales the 4/q bound by the growth ratio
-    of the limits.  The scroll free class error is at most 1/q by
+    For i >= 1 the Betti envelope scales the 4/q bound by betti_ratio^(i - 1),
+    the growth of the limits.  The scroll free class error is at most 1/q by
     per-residue congruence counting, the veronese2 error is exactly
     1/(2 q^3), and the scroll21 errors come from O(q^2) boundary layers.
     The envelopes are guesses, not proven bounds, and for large delta they
@@ -152,8 +152,8 @@ def convergence_check(family: RingFamily, q_list: list[int]) -> ConvergenceRepor
         add("s", est.s_est, lim.s, envelope)
         add("ehk", est.ehk_est, lim.ehk, envelope)
         for i in range(1, _MAX_BETTI + 1):
-            ratio = lim.fbetti(i) / lim.fbetti(1)
-            add(f"fbetti_{i}", est.fbetti_est(i), lim.fbetti(i), envelope * ratio)
+            growth = family.betti_ratio ** (i - 1)
+            add(f"fbetti_{i}", est.fbetti_est(i), lim.fbetti(i), envelope * growth)
         if family.canonical_tag:
             # free and canonical multiplicities share the same limit
             witness = abs(est.s_est - est.canonical_est)

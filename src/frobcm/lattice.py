@@ -218,15 +218,14 @@ def enumerate_congruence_box(
 
 
 def count_parity_box3(q: int, parity: int) -> int:
-    """Triples in [0, q)^3 with i + j + k of the given parity, q odd.
+    """Triples in [0, q)^3 with i + j + k of the given parity.
 
-    Evaluates to (q^3 + 1)/2 for even parity and (q^3 - 1)/2 for odd.
+    Even minus odd triples is (sum of (-1)^i over i < q)^3 = q mod 2, so
+    (q^3 + q mod 2) / 2 are even and q^3 // 2 are odd.
     """
-    if q % 2 == 0:
-        raise ValueError("q must be odd")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    return (q ** 3 + 1) // 2 if parity == 0 else (q ** 3 - 1) // 2
+    return (q ** 3 + q % 2) // 2 if parity == 0 else q ** 3 // 2
 
 
 def enumerate_parity_box3(q: int, parity: int) -> int:

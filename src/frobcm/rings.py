@@ -304,9 +304,9 @@ def scroll21() -> RingFamily:
         t -> 3q - 3 - t maps onto the same simplex with the parity of sigma.
         Band 0 takes the rest of each parity.
         """
-        parity_totals = ((q ** 3 + q % 2) // 2, q ** 3 // 2)
         counts = {}
-        for parity, total in enumerate(parity_totals):
+        for parity in (0, 1):
+            total = lattice.count_parity_box3(q, parity)
             low = lattice.count_parity_simplex3(q - 2, (parity + q - 1) % 2)
             high = lattice.count_parity_simplex3(q - 2, parity)
             counts[(-1, parity)] = (low, (0, 0, 2 - parity))
