@@ -100,18 +100,10 @@ class Polynomial(_Record):
             coeffs = coeffs[:-1]
         super().__init__(coeffs)
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
     @property
     def degree(self) -> int:
         """Degree, with -1 as the sentinel for the zero polynomial."""
         return len(self.coefficients) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coefficients
 
     def coefficient(self, n: int) -> int:
         if 0 <= n < len(self.coefficients):
@@ -136,8 +128,6 @@ class Polynomial(_Record):
             return Polynomial(tuple(other * c for c in self.coefficients))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
         for n, a in enumerate(self.coefficients):
             if a == 0:

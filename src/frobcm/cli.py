@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, invariants, mcm, oracle, pushforward
-from .errors import AuditFailure
+from .errors import AuditFailure, Refusal
 from .rings import (
     SCROLL,
     SCROLL21,
@@ -36,11 +36,10 @@ SUITES = ("counts", "syzygy", "colength", "convergence", "all")
 WORK_BUDGET = 10_000_000
 
 
-def _over_budget(work: int) -> str | None:
-    """The skip detail for a check whose work estimate exceeds the budget."""
+def _budget(work: int) -> None:
+    """Refuse work whose estimate exceeds the budget, before it runs."""
     if work > WORK_BUDGET:
-        return f"skipped, work estimate {work} over budget {WORK_BUDGET}"
-    return None
+        raise Refusal(f"work estimate {work} over budget {WORK_BUDGET}")
 
 
 def _error_text(exc: Exception, size_input: str) -> str:
@@ -209,15 +208,14 @@ def cmd_decompose(args) -> int:
             pushforward.default_route(family, ctx)  # raises: no route is legal
     else:
         routes = [pushforward.ROUTE_PAPER if args.route == "paper" else pushforward.ROUTE_CLASSES]
-    if pushforward.ROUTE_CLASSES in routes and pushforward.ROUTE_CLASSES in legal:
+    if pushforward.ROUTE_CLASSES in routes:
         # the searches grow with delta, not q: refuse before any of them runs
         work = pushforward.residue_route_work(family, ctx)
-        if _over_budget(work):
+        try:
+            _budget(work)
+        except Refusal as exc:
             paper = " or use --route paper" if pushforward.ROUTE_PAPER in legal else ""
-            raise ValueError(
-                f"residue-class route work estimate {work} over budget "
-                f"{WORK_BUDGET}; lower delta{paper}"
-            )
+            raise Refusal(f"residue-class route {exc}; lower delta{paper}") from None
     estimates = [invariants.finite_q_estimates(family, ctx, route) for route in routes]
     if args.format == "json":
         print(_dump(build_decompose_record(estimates, args.max_i)))
@@ -239,13 +237,22 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _suite_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
-    # the index-set sizes the paper route reads, against q^n where the sets
-    # partition the cube and, within the budget, against the literal twin
+def _rows(label: str, runner, *args) -> list[tuple[str, bool, str]]:
+    """runner's rows, or one row named label when it raises: a Refusal is a
+    passing row skipped for the reason it gives, and an AuditFailure or any
+    other ValueError fails the row."""
     try:
-        family.index_keys(q)
-    except ValueError as exc:
-        return [(f"counts[q={q}]", True, f"skipped, {exc}")]
+        return runner(*args)
+    except Refusal as exc:
+        return [(label, True, f"skipped, {exc}")]
+    except (ValueError, AuditFailure) as exc:
+        return [(label, False, f"error: {_error_text(exc, '--q')}")]
+
+
+def _suite_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+    # the index-set sizes the paper route reads, refused at a q the sets do
+    # not cover, against q^n where the sets partition the cube and, within
+    # the budget, against the literal twin
     counts = tuple(pushforward.index_set_counts(family, q).values())
     n = family.ambient_vars
     out = []
@@ -254,23 +261,23 @@ def _suite_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
         out.append((name, sum(counts) == q ** n, f"{sum(counts)} vs {q ** n}"))
     points, sizes = family.index_twin
     twin = f"counts[q={q}] index sets vs enumeration"
-    skip = _over_budget(points(q))
-    return out + [(twin, True, skip) if skip else (twin, counts == sizes(q), f"{counts}")]
+
+    def twin_row():
+        _budget(points(q))
+        return [(twin, counts == sizes(q), f"{counts}")]
+
+    return out + _rows(twin, twin_row)
 
 
 def _scroll_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
-    delta = family.delta
-    skip = _over_budget(oracle.scroll_syzygy_edges(delta))
-    if skip:
-        return [("syzygy closed sets", True, skip)]
-    ok = all(oracle.verify_scroll_syzygy(delta, l) for l in range(1, delta))
-    return [
-        (
-            "syzygy closed sets",
-            ok,
-            f"{delta - 1} syzygy sets checked (l=1..{delta - 1})",
-        )
-    ]
+    delta, name = family.delta, "syzygy closed sets"
+
+    def closed_sets():
+        _budget(oracle.scroll_syzygy_edges(delta))
+        ok = all(oracle.verify_scroll_syzygy(delta, l) for l in range(1, delta))
+        return [(name, ok, f"{delta - 1} syzygy sets checked (l=1..{delta - 1})")]
+
+    return _rows(name, closed_sets)
 
 
 def _veronese2_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
@@ -293,18 +300,11 @@ def _hilbert_rows(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     # Comparing the sequences of nonzero dimensions makes the check blind to
     # degree shifts, so B and C, whose series differ by one, pass alike.
     ctx = context_from_q(q)
-    if not family.coprime_torsion(ctx):
-        skip = f"skipped, p={ctx.p} divides the torsion index {family.torsion_index}"
-        return [(f"hilbert[q={q}]", True, skip)]
-    # the residue route's box points first, before any search runs
-    skip = _over_budget(pushforward.residue_route_work(family, ctx))
-    if skip:
-        return [(f"hilbert[q={q}]", True, skip)]
+    # the residue route's refusal and box points first, before any search runs
+    _budget(pushforward.residue_route_work(family, ctx))
     tags = pushforward.class_key_tags(family, ctx)
     work = len(tags) * oracle.class_degree_points(family, HILBERT_DEGREES)
-    skip = _over_budget(work)
-    if skip:
-        return [(f"hilbert[q={q}]", True, skip)]
+    _budget(work)
     name = f"hilbert[q={q}] class dimensions vs tag series"
     for key, (_, first, tag) in tags.items():
         found = oracle.class_degree_counts(family, q, first, HILBERT_DEGREES)
@@ -320,9 +320,7 @@ def _hilbert_rows(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
 
 def _suite_colength(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     ctx = context_from_q(q)
-    skip = _over_budget(oracle.colength_rows(family, ctx))
-    if skip:
-        return [(f"colength[q={q}]", True, skip)]
+    _budget(oracle.colength_rows(family, ctx))
     result = oracle.lambda_frobenius_quotient(family, ctx)
     lim = invariants.limits(family)
     gap = abs(result.normalized - lim.ehk)
@@ -336,15 +334,13 @@ def _suite_colength(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     ]
 
 
-def _suite_convergence(family: RingFamily, q_list: list[int]) -> list[tuple[str, bool, str]]:
-    # a q whose default route is the residue route over budget skips the suite
-    for q in q_list:
-        ctx = context_from_q(q)
-        if pushforward.default_route(family, ctx) == pushforward.ROUTE_CLASSES:
-            skip = _over_budget(pushforward.residue_route_work(family, ctx))
-            if skip:
-                return [(f"convergence[q={q}]", True, skip)]
-    return [(c.describe(), c.ok, "") for c in invariants.convergence_check(family, q_list).checks]
+def _suite_convergence(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
+    # the default route, refused where none is legal, and the residue
+    # route's box points before any search runs
+    ctx = context_from_q(q)
+    if pushforward.default_route(family, ctx) == pushforward.ROUTE_CLASSES:
+        _budget(pushforward.residue_route_work(family, ctx))
+    return [(c.describe(), c.ok, "") for c in invariants.convergence_check(family, [q]).checks]
 
 
 def build_verify_record(family: RingFamily, q_list: list[int], suite: str) -> dict:
@@ -352,20 +348,17 @@ def build_verify_record(family: RingFamily, q_list: list[int], suite: str) -> di
 
     def run(name: str, label: str, runner, *args) -> None:
         # a suite with no body for the family's kind reports one skipped row
-        if suite not in (name, "all"):
-            return
-        try:
-            rows = runner(family, *args) if runner else None
-        except (ValueError, AuditFailure) as exc:
-            rows = [(label, False, f"error: {_error_text(exc, '--q')}")]
-        checks.extend(rows or [(label, True, "not applicable, skipped")])
+        if suite in (name, "all"):
+            rows = _rows(label, runner, family, *args) if runner else None
+            checks.extend(rows or [(label, True, "not applicable, skipped")])
 
     for q in q_list:
         run("counts", f"counts[q={q}]", _suite_counts, q)
         run("syzygy", f"hilbert[q={q}]", _hilbert_rows, q)
         run("colength", f"colength[q={q}]", _suite_colength, q)
     run("syzygy", "syzygy", _KIND_SYZYGY.get(family.kind))
-    run("convergence", "convergence", _suite_convergence, q_list)
+    for q in q_list:
+        run("convergence", f"convergence[q={q}]", _suite_convergence, q)
     return {
         "artifact_version": __version__,
         "command": {

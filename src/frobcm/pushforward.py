@@ -20,9 +20,10 @@ tag.
   truth: it is defined for every q with p coprime to the grading torsion.
 
 ``legal_routes`` decides where each route may run, from one refusal per
-route (``_refusal``); an explicitly requested route that is not legal raises
-its refusal.  The default is residue classes where legal, else the index
-sets, else an error naming the family and q.
+route (``_refuse``).  Where this module declines to compute it raises
+``errors.Refusal``: for a requested route that is not legal, for the residue
+route's work estimate where that route cannot run, and for the default
+route where no route can, naming the family and q.
 
 The routes agree on scrolls and veronese2.  On scroll21 the index sets name
 every key but one, (-1, 0): the classes with i + j < k and i + j + k even,
@@ -40,7 +41,7 @@ from operator import sub
 
 from . import mcm
 from .arith import _Record
-from .errors import AuditFailure
+from .errors import AuditFailure, Refusal
 from .rings import FrobeniusContext, RingFamily, scroll, scroll21
 
 ROUTE_PAPER = "paper_index_sets"
@@ -100,7 +101,7 @@ def index_set_counts(family: RingFamily, q: int) -> dict[str, int]:
     """The size of each paper index set: the residues of its class keys.
 
     The one count behind the paper route and every verify ``counts`` row;
-    raises ValueError at a q the index sets do not cover.
+    raises Refusal at a q the index sets do not cover.
     """
     keys = family.index_keys(q)
     counts = family.class_key_counts(q)
@@ -134,49 +135,52 @@ def scroll21_index_counts(ctx: FrobeniusContext) -> tuple[int, int, int]:
     return tuple(index_set_counts(scroll21(), ctx.q).values())
 
 
-def _refusal(family: RingFamily, ctx: FrobeniusContext, route: str) -> str | None:
-    """Why route cannot run at ctx, or None when it can."""
+def _refuse(family: RingFamily, ctx: FrobeniusContext, route: str) -> None:
+    """Raise Refusal, saying why, when route cannot run at ctx."""
     if route == ROUTE_CLASSES:
-        if family.coprime_torsion(ctx):
-            return None
-        return (
-            f"residue-class route needs p coprime to the torsion index of "
-            f"{family.label}, got p={ctx.p}"
-        )
-    if ctx.p == 2 and family.index_p2_refusal:
-        return family.index_p2_refusal
-    try:
+        if not family.coprime_torsion(ctx):
+            raise Refusal(
+                f"residue-class route needs p coprime to the torsion index of "
+                f"{family.label}, got p={ctx.p}"
+            )
+    elif ctx.p == 2 and family.index_p2_refusal:
+        raise Refusal(family.index_p2_refusal)
+    else:
         family.index_keys(ctx.q)
-    except ValueError as exc:
-        return str(exc)
-    return None
 
 
 def legal_routes(family: RingFamily, ctx: FrobeniusContext) -> list[str]:
     """The routes that can run at ctx, in report order (index sets first)."""
     family.validate_context(ctx)
-    return [route for route in ROUTES if _refusal(family, ctx, route) is None]
+    legal = []
+    for route in ROUTES:
+        try:
+            _refuse(family, ctx, route)
+        except Refusal:
+            continue
+        legal.append(route)
+    return legal
 
 
 def default_route(family: RingFamily, ctx: FrobeniusContext) -> str:
     """The route used when callers do not pick one.
 
-    Residue classes where legal, else the index sets; a ValueError when
+    Residue classes where legal, else the index sets; a Refusal when
     neither can run.
     """
     routes = legal_routes(family, ctx)
     if not routes:
-        raise ValueError(
-            f"no decomposition route is legal for {family.label} at {ctx}"
-        )
+        raise Refusal(f"no decomposition route is legal for {family.label} at {ctx}")
     return routes[-1]
 
 
 def residue_route_work(family: RingFamily, ctx: FrobeniusContext) -> int:
     """The box points the residue route scans at ctx: one
     ``class_minimal_generators`` box of (torsion + 2)^n points per class key
-    with residues.  ``decompose`` itself is unbounded; the CLI holds this
-    estimate to its work budget before any search runs."""
+    with residues.  Raises the route's Refusal first where it cannot run.
+    ``decompose`` itself is unbounded; the CLI holds this estimate to its
+    work budget before any search runs."""
+    _refuse(family, ctx, ROUTE_CLASSES)
     keys = sum(1 for count, _ in family.class_key_counts(ctx.q).values() if count)
     return keys * (family.torsion_index + 2) ** family.ambient_vars
 
@@ -198,9 +202,7 @@ def class_minimal_generators(
     and raises AuditFailure instead of returning a wrong answer.
     """
     family.validate_context(ctx)
-    refusal = _refusal(family, ctx, ROUTE_CLASSES)
-    if refusal:
-        raise ValueError(refusal)
+    _refuse(family, ctx, ROUTE_CLASSES)
     q = ctx.q
     n = family.ambient_vars
     if len(residue) != n:
@@ -241,9 +243,7 @@ def _decompose_cached(
     family: RingFamily, ctx: FrobeniusContext, route: str
 ) -> Decomposition:
     family.validate_context(ctx)
-    refusal = _refusal(family, ctx, route)
-    if refusal:
-        raise ValueError(refusal)
+    _refuse(family, ctx, route)
     if route == ROUTE_PAPER:
         counts = index_set_counts(family, ctx.q)
     else:

@@ -31,6 +31,7 @@ from math import gcd
 
 from . import lattice
 from .arith import _Record
+from .errors import Refusal
 
 SCROLL = "scroll"
 SCROLL21 = "scroll21"
@@ -163,7 +164,7 @@ class RingFamily(_Record):
         "class_key",
         "class_key_counts",
         # index_keys(q) maps the tag of each paper index set, in order, to the
-        # class keys whose residues the set counts, or raises ValueError at a q
+        # class keys whose residues the set counts, or raises Refusal at a q
         # the sets do not cover; that refusal and index_p2_refusal are what
         # pushforward.legal_routes reads for the index-set route
         "index_keys",
@@ -201,7 +202,7 @@ class RingFamily(_Record):
     def validate_context(self, ctx: FrobeniusContext) -> None:
         """Reject characteristic/family combinations that have no theory."""
         if ctx.p == 2 and self.p2_refusal:
-            raise ValueError(self.p2_refusal)
+            raise Refusal(self.p2_refusal)
 
     def coprime_torsion(self, ctx: FrobeniusContext) -> bool:
         return gcd(ctx.p, self.torsion_index) == 1
@@ -239,7 +240,7 @@ def _scroll(d: int) -> RingFamily:
         # i - l q runs over the residues of key (-l q) mod d, so at p | d
         # every P(l) lies in key 0 and the counts go per set, not per key
         if q <= d:
-            raise ValueError(f"index counts need q > delta, got q={q}, delta={d}")
+            raise Refusal(f"index counts need q > delta, got q={q}, delta={d}")
         return {f"M({l})": ((-l * q) % d,) for l in range(d)}
 
     def index_sizes(q):
@@ -320,7 +321,7 @@ def scroll21() -> RingFamily:
         # sigma >= q.  No set counts key (-1, 0) at odd q, the residues with
         # i + j < k and i + j + k even: that key is the whole route difference.
         if q <= 2:
-            raise ValueError(f"index sets need q > 2, got q={q}")
+            raise Refusal(f"index sets need q > 2, got q={q}")
         parity = q % 2
         return {
             "R": ((0, 0), (1, 0)),

@@ -16,7 +16,7 @@ from frobcm.cli import (
     build_verify_record,
     main,
 )
-from frobcm.errors import AuditFailure
+from frobcm.errors import AuditFailure, Refusal
 from frobcm.invariants import finite_q_estimates, limits
 from frobcm.oracle import colength_rows
 from frobcm.rings import FrobeniusContext, context_from_q, parse_ring, scroll, scroll21
@@ -154,7 +154,8 @@ def test_verify_skips_scroll21_index_suites_at_q2(capsys):
     code, out, _ = run(capsys, argv + ["syzygy"])
     assert code == 0
     assert out == (
-        "PASS hilbert[q=2]  (skipped, p=2 divides the torsion index 2)\n"
+        "PASS hilbert[q=2]  (skipped, residue-class route needs p coprime to the "
+        "torsion index of scroll21, got p=2)\n"
         "PASS syzygy  (not applicable, skipped)\n"
         "all 2 checks passed\n"
     )
@@ -216,8 +217,9 @@ def test_verify_over_budget_checks_are_skipped(capsys):
     assert checks["counts[q=3125] index sets vs enumeration"] == {
         "name": "counts[q=3125] index sets vs enumeration", "ok": True, "detail": skip
     }
+    refusal = "residue-class route needs p coprime to the torsion index of scroll:5, got p=5"
     assert checks["hilbert[q=3125]"] == {
-        "name": "hilbert[q=3125]", "ok": True, "detail": "skipped, p=5 divides the torsion index 5"
+        "name": "hilbert[q=3125]", "ok": True, "detail": f"skipped, {refusal}"
     }
     assert checks["counts[q=3125] index sets sum to q^2"]["ok"]
     assert checks["colength[q=3125] lambda/q^d near e_HK"]["detail"] == "lambda=29296875, gap=0"
@@ -236,9 +238,8 @@ def test_verify_over_budget_residue_route_skips_hilbert_and_convergence(monkeypa
     # scroll:10 searches 5 keys of 12^2 box points at q = 3, all 10 at q = 7
     monkeypatch.setattr(cli, "WORK_BUDGET", 1439)
     skip = {"ok": True, "detail": "skipped, work estimate 1440 over budget 1439"}
-    monkeypatch.setattr(invariants, "convergence_check", None)  # never reached
     record = build_verify_record(scroll(10), [3, 7], "convergence")
-    assert record["checks"] == [{"name": "convergence[q=7]", **skip}]
+    assert record["checks"][-1] == {"name": "convergence[q=7]", **skip}
     walked, real = [], pushforward.class_key_tags
     monkeypatch.setattr(
         pushforward, "class_key_tags", lambda family, ctx: walked.append(ctx.q) or real(family, ctx)
@@ -249,6 +250,75 @@ def test_verify_over_budget_residue_route_skips_hilbert_and_convergence(monkeypa
     assert [c["detail"] for c in record["checks"][:2]] == [
         "skipped, work estimate 4305 over budget 1439", skip["detail"]
     ]
+
+
+def test_verify_convergence_runs_each_q_on_its_own():
+    # no route is legal for scroll:6 at q = 3 (p | delta, q <= delta); q = 7
+    # still reports its six rows
+    record = build_verify_record(scroll(6), [3, 7], "convergence")
+    refused, *rows = record["checks"]
+    assert refused == {
+        "name": "convergence[q=3]",
+        "ok": True,
+        "detail": "skipped, no decomposition route is legal for scroll:6 at q=3 (p=3, e=1)",
+    }
+    names = ["s", "ehk", "fbetti_1", "fbetti_2", "fbetti_3", "fbetti_4"]
+    assert [row["name"].split(":")[0] for row in rows] == [f"q=7 {name}" for name in names]
+    assert all(row["ok"] for row in rows) and record["ok"]
+
+
+def test_verify_convergence_skips_only_the_q_over_budget(monkeypatch):
+    # scroll:10's residue route scans 5 keys of 12^2 box points at q = 3 and
+    # 10 keys at q = 7: a budget of 1439 admits q = 3 alone
+    monkeypatch.setattr(cli, "WORK_BUDGET", 1439)
+    q3 = build_verify_record(scroll(10), [3], "convergence")["checks"]
+    assert len(q3) == 6 and all(row["name"].startswith("q=3 ") for row in q3)
+    record = build_verify_record(scroll(10), [3, 7], "convergence")
+    assert record["checks"] == q3 + [
+        {
+            "name": "convergence[q=7]",
+            "ok": True,
+            "detail": "skipped, work estimate 1440 over budget 1439",
+        }
+    ]
+
+
+# Every place a layer declines to compute at its input.
+REFUSALS = {
+    "validate_context at p = 2": lambda: parse_ring("veronese2").validate_context(
+        FrobeniusContext(2, 1)
+    ),
+    "scroll index_keys at q <= delta": lambda: scroll(5).index_keys(5),
+    "scroll21 index_keys at q = 2": lambda: scroll21().index_keys(2),
+    "class_minimal_generators at p | torsion": lambda: pushforward.class_minimal_generators(
+        scroll(3), FrobeniusContext(3, 2), (0, 0)
+    ),
+    "decompose on the residue route at p | torsion": lambda: pushforward.decompose(
+        scroll(3), FrobeniusContext(3, 2), pushforward.ROUTE_CLASSES
+    ),
+    "decompose on the index sets at q <= delta": lambda: pushforward.decompose(
+        scroll(5), FrobeniusContext(3, 1), pushforward.ROUTE_PAPER
+    ),
+    "decompose on the scroll21 index sets at p = 2": lambda: pushforward.decompose(
+        scroll21(), FrobeniusContext(2, 2), pushforward.ROUTE_PAPER
+    ),
+    "default_route where no route is legal": lambda: pushforward.default_route(
+        scroll(3), FrobeniusContext(3, 1)
+    ),
+    "residue_route_work at p | torsion": lambda: pushforward.residue_route_work(
+        scroll(3), FrobeniusContext(3, 2)
+    ),
+    "the work budget": lambda: cli._budget(WORK_BUDGET + 1),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REFUSALS))
+def test_each_refusal_site_raises_refusal(site):
+    with pytest.raises(Refusal):
+        REFUSALS[site]()
+    # a Refusal is a ValueError, so callers that catch that still do
+    with pytest.raises(ValueError):
+        REFUSALS[site]()
 
 
 def test_verify_syzygy_closed_sets_skip_from_delta_43(monkeypatch):
@@ -490,7 +560,7 @@ def test_verify_reports_a_failed_limits_cross_check_per_row(capsys, monkeypatch)
         "PASS hilbert[q=7] class dimensions vs tag series",
         "FAIL colength[q=7]",
         "PASS syzygy closed sets",
-        "FAIL convergence",
+        "FAIL convergence[q=7]",
         "2 of 6 checks FAILED",
     ]
     error = "(error: Hilbert-Kunz mismatch for scroll:3: 0 vs 2)"
@@ -513,6 +583,22 @@ def test_verify_reports_a_colength_audit_failure_as_a_failed_row(capsys, monkeyp
     lines[row] = "FAIL colength[q=5]  (error: scroll colength box audit failed)"
     lines[-1] = f"1 of {len(lines) - 1} checks FAILED"
     assert out.splitlines() == lines
+
+
+def test_verify_fails_a_planted_value_error_and_skips_a_planted_refusal(monkeypatch):
+    # only a Refusal is a skip: any other ValueError inside a check fails it
+    def planted(error):
+        def colength(family, ctx):
+            raise error("planted")
+
+        return colength
+
+    monkeypatch.setattr(oracle, "lambda_frobenius_quotient", planted(ValueError))
+    failed = {"name": "colength[q=5]", "ok": False, "detail": "error: planted"}
+    assert build_verify_record(scroll(3), [5], "colength")["checks"] == [failed]
+    monkeypatch.setattr(oracle, "lambda_frobenius_quotient", planted(Refusal))
+    skipped = {"name": "colength[q=5]", "ok": True, "detail": "skipped, planted"}
+    assert build_verify_record(scroll(3), [5], "colength")["checks"] == [skipped]
 
 
 def test_work_budget_admits_scroll21_colength_at_729():
@@ -766,6 +852,7 @@ def test_verify_at_delta_100000_skips_every_search():
         "colength[q=100003]": skip(2 * 100003 * 100000),
         "syzygy closed sets": skip(100000 ** 2 * 99999 * 300002),
         "convergence[q=3]": skip(5 * 100002 ** 2),
+        "convergence[q=100003]": skip(100000 * 100002 ** 2),
     }
 
 

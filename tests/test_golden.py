@@ -34,6 +34,14 @@ All 44 were written again when one counts path, reading each family's index
 sets from its constructor, replaced the per-kind counts code: only the
 ``counts[...]`` rows changed, in name and skip text, at the same q and with
 the same pass, fail and skip as before.
+Nine were written again when each layer that declines to compute began to
+raise ``errors.Refusal``, which verify reports as a passing skipped row:
+scroll-3 q3 and q9, scroll-5 q5, scroll-6 q3 and q9, scroll-7 q7, scroll-9
+q3 and q9, and scroll-10 q5, the files where p divides delta.  Only two
+rows changed.  The ``hilbert[q=Q]`` skip now gives the residue route's
+refusal in place of "p=P divides the torsion index".  In the seven
+without a legal route, the ``convergence`` FAIL row became a passing
+``convergence[q=Q]`` row skipped as "no decomposition route is legal".
 """
 
 import json

@@ -187,7 +187,7 @@ def test_records_of_different_types_differ():
 def test_polynomial_trims_trailing_zeros():
     assert Polynomial((1, 2, 0, 0)).coefficients == (1, 2)
     assert Polynomial([0, 0]).coefficients == ()
-    assert Polynomial() == Polynomial.zero()
+    assert Polynomial() == Polynomial(())
     assert Polynomial(coefficients=(3, 0)) == Polynomial((3,))
 
 
