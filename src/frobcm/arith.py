@@ -148,12 +148,6 @@ class Polynomial(_Record):
         """t**degree * p(1/t): the coefficient sequence reversed."""
         return Polynomial(tuple(reversed(self.coefficients)))
 
-    def __call__(self, x):
-        value = 0
-        for c in reversed(self.coefficients):
-            value = value * x + c
-        return value
-
 
 def _divide_one_minus_power(poly: Polynomial, base: int) -> Polynomial | None:
     """Quotient of poly by (1 - t**base), or None when not divisible."""
@@ -240,7 +234,3 @@ class HilbertSeries(_Record):
                 "only series with the same pole order and base can be subtracted"
             )
         return HilbertSeries(self.numerator - other.numerator, self.pole_order, self.base)
-
-    def multiplicity(self) -> int:
-        """Numerator evaluated at 1: the leading-order density of the series."""
-        return self.numerator(1)

@@ -15,20 +15,12 @@ from fractions import Fraction
 
 from . import __version__, invariants, mcm, oracle, pushforward
 from .errors import AuditFailure, Refusal
-from .rings import (
-    SCROLL,
-    SCROLL21,
-    VERONESE2,
-    FrobeniusContext,
-    RingFamily,
-    context_from_q,
-    parse_ring,
-)
+from .rings import FrobeniusContext, RingFamily, context_from_q, parse_ring
 
 SUITES = ("counts", "syzygy", "colength", "convergence", "all")
 
 # Largest work estimate (colength rows, enumeration twin points, hilbert
-# class points, residue-route box points, syzygy edges) a check or the
+# class points, residue-route box points, sequence terms) a check or the
 # residue route may run.  Over it a check reports a passing "skipped" row
 # that states the estimate, and decompose refuses.  It is the one limit:
 # every twin streams its points and keeps only counts, so work, not memory,
@@ -99,7 +91,7 @@ def _dump(record: dict) -> str:
 
 
 def _default_families() -> list[str]:
-    return [f"scroll:{d}" for d in range(2, 11)] + [SCROLL21, "veronese2"]
+    return [f"scroll:{d}" for d in range(2, 11)] + ["scroll21", "veronese2"]
 
 
 def _table1_values(family: RingFamily, max_i: int) -> list[Fraction]:
@@ -269,25 +261,12 @@ def _suite_counts(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     return out + _rows(twin, twin_row)
 
 
-def _scroll_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
-    delta, name = family.delta, "syzygy closed sets"
-
-    def closed_sets():
-        _budget(oracle.scroll_syzygy_edges(delta))
-        ok = all(oracle.verify_scroll_syzygy(delta, l) for l in range(1, delta))
-        return [(name, ok, f"{delta - 1} syzygy sets checked (l=1..{delta - 1})")]
-
-    return _rows(name, closed_sets)
-
-
-def _veronese2_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
-    ok = oracle.verify_veronese_sequences()
-    return [("syzygy series shadows of the resolutions", ok, "")]
-
-
-# The one verify body that depends on the kind, the syzygy suite's once-only
-# row; every other suite, the hilbert rows included, is the same for all.
-_KIND_SYZYGY = {SCROLL: _scroll_syzygy, VERONESE2: _veronese2_syzygy}
+def _suite_syzygy(family: RingFamily) -> list[tuple[str, bool, str]]:
+    # the syzygy suite's once-only row: the constructor's exact sequences
+    work = oracle.sequence_terms(family)
+    _budget(work)
+    count = oracle.verify_sequences(family)
+    return [("syzygy sequences", True, f"{count} checked, work estimate {work}")]
 
 
 HILBERT_DEGREES = 4  # nonzero class dimensions compared per class key
@@ -298,7 +277,8 @@ def _hilbert_rows(family: RingFamily, q: int) -> list[tuple[str, bool, str]]:
     # degree by degree from the membership predicate alone, must have the
     # nonzero graded dimensions of the catalog series its tag names.
     # Comparing the sequences of nonzero dimensions makes the check blind to
-    # degree shifts, so B and C, whose series differ by one, pass alike.
+    # degree shifts, so B and C, whose series differ by one, pass alike; the
+    # syzygy sequences row is what catches a shifted series.
     ctx = context_from_q(q)
     # the residue route's refusal and box points first, before any search runs
     _budget(pushforward.residue_route_work(family, ctx))
@@ -347,16 +327,14 @@ def build_verify_record(family: RingFamily, q_list: list[int], suite: str) -> di
     checks: list[tuple[str, bool, str]] = []
 
     def run(name: str, label: str, runner, *args) -> None:
-        # a suite with no body for the family's kind reports one skipped row
         if suite in (name, "all"):
-            rows = _rows(label, runner, family, *args) if runner else None
-            checks.extend(rows or [(label, True, "not applicable, skipped")])
+            checks.extend(_rows(label, runner, family, *args))
 
     for q in q_list:
         run("counts", f"counts[q={q}]", _suite_counts, q)
         run("syzygy", f"hilbert[q={q}]", _hilbert_rows, q)
         run("colength", f"colength[q={q}]", _suite_colength, q)
-    run("syzygy", "syzygy", _KIND_SYZYGY.get(family.kind))
+    run("syzygy", "syzygy sequences", _suite_syzygy)
     for q in q_list:
         run("convergence", f"convergence[q={q}]", _suite_convergence, q)
     return {

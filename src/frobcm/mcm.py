@@ -126,10 +126,8 @@ def scroll_syzygy_generators(delta: int, l: int) -> tuple[ScrollSyzygy, ...]:
         raise ValueError(
             f"l must satisfy 1 <= l <= delta-1 (M(0) is free), got l={l}"
         )
-    out = []
-    for m in range(1, l + 1):
-        for k in range(1, delta + 1):
-            out.append(
-                ScrollSyzygy((delta - k, k), m, (delta - k + 1, k - 1), m + 1)
-            )
-    return tuple(out)
+    return tuple(
+        ScrollSyzygy((delta - k, k), m, (delta - k + 1, k - 1), m + 1)
+        for m in range(1, l + 1)
+        for k in range(1, delta + 1)
+    )

@@ -7,7 +7,9 @@ family's ``colength_cell`` rule: for every prefix sum of a cell the
 uncovered points form one interval of the last coordinate, counted by a step
 formula; the generator count enumerates points.  Bounds are audited at
 runtime (the colength on the box's outer layer): when an audit fails the
-oracle raises instead of reporting a count that might be wrong.
+oracle raises instead of reporting a count that might be wrong.  The
+structure checks read the catalog: each family's exact sequences must add
+up, series and Betti numbers alike.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from fractions import Fraction
 from math import comb
 
 from . import mcm
-from .arith import HilbertSeries, Polynomial, _Record
-from .errors import AuditFailure
-from .rings import FrobeniusContext, RingFamily, scroll, veronese2
+from .arith import _Record
+from .errors import AuditFailure, Refusal
+from .rings import FrobeniusContext, RingFamily, scroll
 
 
 class ColengthResult(_Record):
@@ -135,7 +137,7 @@ def min_gens_pushforward(family: RingFamily, ctx: FrobeniusContext) -> int:
     """
     family.validate_context(ctx)
     if not family.coprime_torsion(ctx):
-        raise ValueError(
+        raise Refusal(
             f"minimal generator counting needs p coprime to the torsion index "
             f"of {family.label}, got p={ctx.p}"
         )
@@ -217,17 +219,12 @@ def verify_scroll_syzygy(delta: int, l: int) -> bool:
     syzygies = mcm.scroll_syzygy_generators(delta, l)
     if len(syzygies) != delta * l:
         return False
+
+    def image(monomial, m):  # of monomial * e_m under the map in (a)
+        return monomial[0] + l - m + 1, monomial[1] + m - 1
+
     for syz in syzygies:
-        m = syz.plus_basis
-        image_plus = (
-            syz.plus_monomial[0] + l - m + 1,
-            syz.plus_monomial[1] + m - 1,
-        )
-        image_minus = (
-            syz.minus_monomial[0] + l - (m + 1) + 1,
-            syz.minus_monomial[1] + (m + 1) - 1,
-        )
-        if image_plus != image_minus:
+        if image(syz.plus_monomial, syz.plus_basis) != image(syz.minus_monomial, syz.minus_basis):
             return False
     top = mcm.class_by_tag(scroll(delta), f"M({delta - 1})")
     expected_series = mcm.module_hilbert_series(top).scale(l).shift(l + 1)
@@ -253,35 +250,58 @@ def verify_scroll_syzygy(delta: int, l: int) -> bool:
     return True
 
 
-def scroll_syzygy_edges(delta: int) -> int:
-    """The edges ``verify_scroll_syzygy`` builds over l = 1..delta - 1, the
-    work estimate of verify's row: delta l syzygies times
-    sum_{step=1..4} ((step - 1) delta + 1) shifts for each l."""
-    return delta * delta * (delta - 1) * (3 * delta + 2)
+def _signed_terms(family: RingFamily, cover, module: str, kernel):
+    """(degree, coefficient) of each numerator term of H(cover) - H(module) -
+    H(kernel) over the free class's denominator; any other denominator raises."""
+    denominator = (mcm.free_class(family).series or (None,))[1:]
+    negated = tuple((-n, shift, tag) for n, shift, tag in kernel)
+    for n, shift, tag in (*cover, (-1, 0, module), *negated):
+        series = mcm.class_by_tag(family, tag).series
+        if series is None or series[1:] != denominator:
+            raise AuditFailure(f"{family.label}:{tag} has no series over the free denominator")
+        for degree, c in series[0]:
+            yield degree + shift, n * c
 
 
-def verify_veronese_sequences() -> bool:
-    """Check the series shadows of the two veronese2 resolutions.
+def sequence_terms(family: RingFamily) -> int:
+    """The numerator terms ``verify_sequences`` adds, the work estimate of
+    verify's row: 6 (delta - 1) for ``scroll:delta``."""
+    return sum(1 for seq in family.sequences() for _ in _signed_terms(family, *seq))
 
-    The canonical class series is the dual of the ring series; the first
-    syzygy series is 3 t^2 H(R) - H(A) = 8 t^3 / (1-t)^3; and with the right
-    degree shifts the second sequence is exact as series:
-    3 t H(A) - H(B) = t^3 H(R).
+
+def verify_sequences(family: RingFamily) -> int:
+    """Check the family's exact sequences 0 -> kernel -> cover -> module -> 0
+    against its catalog rows, and return how many there are.
+
+    Each must satisfy H(cover) = H(module) + H(kernel).  Over a free cover,
+    beta_0(module) must be the cover's, so the cover is minimal, and
+    beta_(i+1)(module) the kernel's beta_i for i = 0, 1: this ties each
+    beta_1 and the Betti ratio to the series.  The canonical series must be
+    the dual of the free one.  The first identity that fails raises
+    AuditFailure.
     """
-    h_ring = mcm.module_hilbert_series(mcm.class_by_tag(veronese2(), "R"))
-    h_canonical = mcm.module_hilbert_series(mcm.class_by_tag(veronese2(), "A"))
-    h_syzygy = mcm.module_hilbert_series(mcm.class_by_tag(veronese2(), "B"))
-    if h_ring.dual() != h_canonical:
-        return False
-    if h_ring.scale(3).shift(2) - h_canonical != h_syzygy:
-        return False
-    if h_syzygy != HilbertSeries(Polynomial((0, 0, 0, 8)), 3):
-        return False
-    if h_canonical.coefficient(2) != 3 or h_syzygy.coefficient(2) != 0:
-        return False
-    difference = h_canonical.scale(3) - h_syzygy
-    if any(difference.coefficient(n) < 0 for n in range(50)):
-        return False
-    if difference.multiplicity() != h_ring.multiplicity():
-        return False
-    return h_canonical.scale(3).shift(1) - h_syzygy == h_ring.shift(3)
+    free = mcm.free_class(family)
+    sequences = tuple(family.sequences())
+    for cover, module, kernel in sequences:
+        balance: dict[int, int] = {}
+        for degree, c in _signed_terms(family, cover, module, kernel):
+            balance[degree] = balance.get(degree, 0) + c
+        if any(balance.values()):
+            degree = min(degree for degree, c in balance.items() if c)
+            raise AuditFailure(f"{family.label}: the sequence onto {module} fails at t^{degree}")
+        if any(tag != free.tag for _, _, tag in cover):
+            continue
+        for i, side, j in ((0, cover, 0), (1, kernel, 0), (2, kernel, 1)):
+            have = mcm.class_by_tag(family, module).betti(i)
+            want = sum(n * mcm.class_by_tag(family, tag).betti(j) for n, _, tag in side)
+            if have != want:
+                raise AuditFailure(
+                    f"{family.label}: the sequence onto {module} gives beta_{i} = {want}, "
+                    f"the catalog {have}"
+                )
+    canonical = family.canonical_tag
+    if canonical:
+        series = mcm.module_hilbert_series(mcm.class_by_tag(family, canonical))
+        if series != mcm.module_hilbert_series(free).dual():
+            raise AuditFailure(f"{family.label}: H({canonical}) is not the dual of H({free.tag})")
+    return len(sequences)

@@ -9,9 +9,10 @@ paper's index sets (the class keys whose residues each set counts, a literal
 twin counting each set point by point, and whether the sizes sum to q^dim),
 the colength cell rule the oracle counts m^[q]'s complement by (the uncovered
 interval of the last coordinate over one q-aligned cell of the others, with
-its derivation), and the catalog of MCM classes, one row per class with its
+its derivation), the catalog of MCM classes, one row per class with its
 mu, rank, first Betti number, limiting density and Hilbert series as plain
-numbers (scroll21's derived here, not in the paper).
+numbers (scroll21's derived here, not in the paper), and the exact sequences
+among the classes that tie those numbers together.
 
 * ``scroll(delta)``: subalgebra of k[x, y] spanned by monomials whose total
   degree is a multiple of delta; generators x^delta, x^(delta-1) y, ..., y^delta.
@@ -32,10 +33,6 @@ from math import gcd
 from . import lattice
 from .arith import _Record
 from .errors import Refusal
-
-SCROLL = "scroll"
-SCROLL21 = "scroll21"
-VERONESE2 = "veronese2"
 
 
 # Below this bound (psi_12, OEIS A014233) the strong probable-prime test to
@@ -154,6 +151,10 @@ class RingFamily(_Record):
         "fbetti",  # fbetti(i): closed form for i >= 1
         "fbetti_text",
         "canonical_tag",
+        # sequences() gives exact sequences 0 -> kernel -> cover -> module -> 0 of
+        # catalog classes as (cover, module tag, kernel), each side ((count, degree
+        # shift, tag), ...): each states H(cover) = H(module) + H(kernel)
+        "sequences",
         # recurrences(betti, i) evaluates every Betti recurrence valid at index
         # i, given betti(tag, i); all of them vanish when the catalog is right
         "recurrences",
@@ -250,7 +251,7 @@ def _scroll(d: int) -> RingFamily:
         )
 
     return RingFamily(
-        SCROLL,
+        "scroll",
         d,
         ambient_vars=2,
         torsion_index=d,
@@ -270,6 +271,10 @@ def _scroll(d: int) -> RingFamily:
         ehk=Fraction(d + 1, 2),
         fbetti=lambda i: Fraction(d * (d - 1) ** i, 2),
         fbetti_text=f"{d}*{d - 1}^i/2",
+        # 0 -> M(delta - 1)(-l - 1)^l -> R(-l)^(l + 1) -> M(l) -> 0, listed on demand
+        sequences=lambda: (
+            (((l + 1, l, "M(0)"),), f"M({l})", ((l, l + 1, f"M({d - 1})"),)) for l in range(1, d)
+        ),
         recurrences=recurrences,
         # the residue degree mod delta fixes the class
         class_key=lambda q, r: (r[0] + r[1]) % d,
@@ -354,7 +359,7 @@ def scroll21() -> RingFamily:
 
     b_series = (((3, 3),), 3, 1)
     return RingFamily(
-        SCROLL21,
+        "scroll21",
         ambient_vars=3,
         torsion_index=2,
         generators=((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)),
@@ -362,7 +367,8 @@ def scroll21() -> RingFamily:
         colength_cell=colength_cell,
         # Each series is derived here, not in the paper, grading x^i y^j z^k by
         # (i + j + k) / 2: A = R.dual() is the canonical class; B = Omega(A),
-        # the kernel of R(-2)^2 -> A, has 2 t^2 H(R) - H(A).  C and D have none.
+        # the kernel of R(-2)^2 -> A, has 2 t^2 H(R) - H(A), as ``sequences``
+        # states.  C and D have none.
         # "BorC" is a deliberate merged tag: B and C share mu, rank, and the
         # whole Betti sequence, and nothing downstream distinguishes them; it
         # takes B's series, since C's differs from it by a shift.
@@ -380,6 +386,7 @@ def scroll21() -> RingFamily:
         fbetti=lambda i: Fraction(9 * 2 ** (i - 1), 4),
         fbetti_text="9*2^(i-1)/4",
         canonical_tag="A",
+        sequences=lambda: ((((2, 2, "R"),), "A", ((1, 0, "B"),)),),  # B = Omega(A)
         recurrences=recurrences,
         class_key=class_key,
         class_key_counts=class_key_counts,
@@ -422,7 +429,7 @@ def veronese2() -> RingFamily:
         return even, q ** 3 - even
 
     return RingFamily(
-        VERONESE2,
+        "veronese2",
         ambient_vars=3,
         torsion_index=2,
         generators=((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)),
@@ -443,6 +450,11 @@ def veronese2() -> RingFamily:
         fbetti=lambda i: Fraction(4 * 3 ** (i - 1)),
         fbetti_text="4*3^(i-1)",
         canonical_tag="A",
+        # B = Omega(A), and B is covered by A(-1)^3 with kernel R(-3)
+        sequences=lambda: (
+            (((3, 2, "R"),), "A", ((1, 0, "B"),)),
+            (((3, 1, "A"),), "B", ((1, 3, "R"),)),
+        ),
         recurrences=recurrences,
         # the parity of the residue degree fixes the class
         class_key=lambda q, r: sum(r) % 2,
@@ -458,9 +470,9 @@ def veronese2() -> RingFamily:
 def parse_ring(text: str) -> RingFamily:
     """Parse "scroll:<delta>", "scroll21", or "veronese2"."""
     text = text.strip()
-    if text == SCROLL21:
+    if text == "scroll21":
         return scroll21()
-    if text == VERONESE2:
+    if text == "veronese2":
         return veronese2()
     if text.startswith("scroll:"):
         tail = text.split(":", 1)[1]

@@ -53,7 +53,6 @@ def test_polynomial_arithmetic():
     assert p * q == Polynomial((0, 0, 2, 6))
     assert p * Polynomial() == Polynomial() * Polynomial() == Polynomial()
     assert 3 * p == Polynomial((3, 9))
-    assert p(2) == 7
 
 
 def test_polynomial_shift():

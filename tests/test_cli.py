@@ -129,7 +129,7 @@ def test_verify_syzygy_counts_sets(capsys):
         capsys, ["verify", "--ring", "scroll:4", "--q", "5", "--suite", "syzygy"]
     )
     assert code == 0
-    assert "3 syzygy sets checked" in out
+    assert "PASS syzygy sequences  (3 checked, work estimate 18)\n" in out
 
 
 def test_verify_skips_scroll_counts_at_small_q(capsys):
@@ -144,7 +144,8 @@ def test_verify_skips_scroll_counts_at_small_q(capsys):
 
 def test_verify_skips_scroll21_index_suites_at_q2(capsys):
     # the index sets need q > 2, and p = 2 divides the torsion index 2, so
-    # no class has a tag for the syzygy suite's hilbert row to check
+    # no class has a tag for the syzygy suite's hilbert row to check; the
+    # sequences row reads the catalog alone, at no q
     argv = ["verify", "--ring", "scroll21", "--q", "2", "--suite"]
     code, out, _ = run(capsys, argv + ["counts"])
     assert code == 0
@@ -156,7 +157,7 @@ def test_verify_skips_scroll21_index_suites_at_q2(capsys):
     assert out == (
         "PASS hilbert[q=2]  (skipped, residue-class route needs p coprime to the "
         "torsion index of scroll21, got p=2)\n"
-        "PASS syzygy  (not applicable, skipped)\n"
+        "PASS syzygy sequences  (1 checked, work estimate 5)\n"
         "all 2 checks passed\n"
     )
 
@@ -309,6 +310,9 @@ REFUSALS = {
         scroll(3), FrobeniusContext(3, 2)
     ),
     "the work budget": lambda: cli._budget(WORK_BUDGET + 1),
+    "min_gens_pushforward at p | torsion": lambda: oracle.min_gens_pushforward(
+        scroll(3), FrobeniusContext(3, 1)
+    ),
 }
 
 
@@ -321,13 +325,14 @@ def test_each_refusal_site_raises_refusal(site):
         REFUSALS[site]()
 
 
-def test_verify_syzygy_closed_sets_skip_from_delta_43(monkeypatch):
-    monkeypatch.setattr(oracle, "verify_scroll_syzygy", None)  # never called
-    record = build_verify_record(scroll(43), [7], "syzygy")
+def test_verify_syzygy_sequences_skip_over_a_lowered_budget(monkeypatch):
+    monkeypatch.setattr(cli, "WORK_BUDGET", 11)
+    monkeypatch.setattr(oracle, "verify_sequences", None)  # never called
+    record = build_verify_record(scroll(3), [7], "syzygy")
     assert record["checks"][-1] == {
-        "name": "syzygy closed sets",
+        "name": "syzygy sequences",
         "ok": True,
-        "detail": f"skipped, work estimate 10173198 over budget {WORK_BUDGET}",
+        "detail": "skipped, work estimate 12 over budget 11",
     }
 
 
@@ -559,7 +564,7 @@ def test_verify_reports_a_failed_limits_cross_check_per_row(capsys, monkeypatch)
         "PASS counts[q=7] index sets vs enumeration",
         "PASS hilbert[q=7] class dimensions vs tag series",
         "FAIL colength[q=7]",
-        "PASS syzygy closed sets",
+        "PASS syzygy sequences",
         "FAIL convergence[q=7]",
         "2 of 6 checks FAILED",
     ]
@@ -850,10 +855,22 @@ def test_verify_at_delta_100000_skips_every_search():
         "counts[q=100003] index sets vs enumeration": skip(100000 * 100003 ** 2),
         "hilbert[q=100003]": skip(100000 * 100002 ** 2),
         "colength[q=100003]": skip(2 * 100003 * 100000),
-        "syzygy closed sets": skip(100000 ** 2 * 99999 * 300002),
+        "syzygy sequences": (True, "99999 checked, work estimate 599994"),
         "convergence[q=3]": skip(5 * 100002 ** 2),
         "convergence[q=100003]": skip(100000 * 100002 ** 2),
     }
+
+
+def test_verify_syzygy_at_delta_100000_runs_the_sequences():
+    proc = frobcm_cli("verify", "--ring", HUGE_SCROLL, "--q", "3", "--suite", "syzygy",
+                      timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        f"PASS hilbert[q=3]  (skipped, work estimate {5 * 100002 ** 2} over budget "
+        f"{WORK_BUDGET})\n"
+        "PASS syzygy sequences  (99999 checked, work estimate 599994)\n"
+        "all 2 checks passed\n"
+    )
 
 
 def test_decompose_at_delta_100000_names_the_budget():

@@ -42,6 +42,12 @@ rows changed.  The ``hilbert[q=Q]`` skip now gives the residue route's
 refusal in place of "p=P divides the torsion index".  In the seven
 without a legal route, the ``convergence`` FAIL row became a passing
 ``convergence[q=Q]`` row skipped as "no decomposition route is legal".
+All 44 were written again when one ``syzygy sequences`` row, checking the
+exact sequences each ring constructor lists, replaced the per-kind syzygy
+bodies.  Only that once-only row changed: the scroll ``syzygy closed sets``
+row, veronese2's ``syzygy series shadows of the resolutions`` and scroll21's
+``syzygy`` row, skipped as "not applicable", each became a passing
+``syzygy sequences`` row stating its count and work estimate.
 """
 
 import json

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from frobcm.arith import Polynomial
+from frobcm import mcm
+from frobcm.cli import _default_families, build_verify_record
 from frobcm.errors import AuditFailure
 from frobcm.mcm import scroll_syzygy_generators
 from frobcm.oracle import (
@@ -13,9 +14,9 @@ from frobcm.oracle import (
     colength_rows,
     lambda_frobenius_quotient,
     min_gens_pushforward,
-    scroll_syzygy_edges,
+    sequence_terms,
     verify_scroll_syzygy,
-    verify_veronese_sequences,
+    verify_sequences,
 )
 from frobcm.pushforward import ROUTE_CLASSES, ROUTE_PAPER, decompose
 from frobcm.rings import (
@@ -26,6 +27,7 @@ from frobcm.rings import (
     scroll21,
     veronese2,
 )
+from test_pushforward import redescribed
 from test_rings import in_frobenius_power
 
 Q3 = FrobeniusContext(3, 1)
@@ -427,25 +429,165 @@ def test_scroll_syzygy_range_errors():
         verify_scroll_syzygy(3, 3)
 
 
-def test_veronese_sequences():
-    assert verify_veronese_sequences()
+@pytest.fixture
+def fresh_catalog():
+    """A redescribed family compares equal to the real one, so mcm's
+    per-family caches are cleared around each test that plants rows."""
+
+    def clear():
+        mcm._catalog.cache_clear()
+        mcm._classes_by_tag.cache_clear()
+
+    clear()
+    yield
+    clear()
 
 
-def test_scroll_syzygy_edges_are_the_edges_built(monkeypatch):
+ROW_FIELDS = ("tag", "mu", "rank", "beta1", "density", "series")
+
+
+def planted(family, rows=(), **changes):
+    """family redescribed with changes and with rows = {tag: {field: value}}
+    applied to its catalog rows."""
+    classes = tuple(
+        tuple(rows.get(row[0], {}).get(name, value) for name, value in zip(ROW_FIELDS, row))
+        for row in family.classes
+    )
+    return redescribed(family, classes=classes, **changes)
+
+
+def sequence_row(family, q=7):
+    record = build_verify_record(family, [q], "syzygy")
+    return {c["name"].split("[")[0]: (c["ok"], c["detail"]) for c in record["checks"]}
+
+
+@pytest.mark.parametrize("ring", _default_families())
+def test_verify_sequences_pass_on_every_family(ring):
+    family = parse_ring(ring)
+    assert verify_sequences(family) == len(tuple(family.sequences()))
+    work = sequence_terms(family)
+    assert sequence_row(family)["syzygy sequences"] == (
+        True,
+        f"{len(tuple(family.sequences()))} checked, work estimate {work}",
+    )
+
+
+def test_sequence_terms_are_the_terms_the_check_adds(monkeypatch):
     import frobcm.oracle as oracle
 
-    built = []
-    real = oracle._span_dimension
+    added = []
+    real = oracle._signed_terms
 
-    def counting(edges):
-        built.append(len(edges))
-        return real(edges)
+    def counting(*args):
+        for term in real(*args):
+            added.append(term)
+            yield term
 
-    monkeypatch.setattr(oracle, "_span_dimension", counting)
-    for delta in range(2, 9):
-        built.clear()
-        assert all(verify_scroll_syzygy(delta, l) for l in range(1, delta))
-        assert sum(built) == scroll_syzygy_edges(delta), delta
-    # the verify row runs through delta = 42 and skips from 43 on
-    assert scroll_syzygy_edges(10) == 28_800
-    assert scroll_syzygy_edges(42) <= 10_000_000 < scroll_syzygy_edges(43)
+    monkeypatch.setattr(oracle, "_signed_terms", counting)
+    for family in [scroll(d) for d in range(2, 12)] + [scroll21(), veronese2()]:
+        added.clear()
+        verify_sequences(family)
+        checked = len(added)
+        assert sequence_terms(family) == checked, family
+    # six terms per l for a scroll: two each for M(0), M(l) and M(delta - 1)
+    assert [sequence_terms(scroll(d)) for d in (2, 10, 200)] == [6, 54, 1194]
+    assert (sequence_terms(scroll21()), sequence_terms(veronese2())) == (5, 10)
+
+
+# (ring, planted rows, planted fields): a wrong beta_1, mu or Betti ratio
+WRONG_BETTI = {
+    "scroll:4 beta1 M(2)": ("scroll:4", {"M(2)": {"beta1": 9}}, {}),
+    "scroll:4 beta1 M(3)": ("scroll:4", {"M(3)": {"beta1": 13}}, {}),
+    "scroll:4 mu M(1)": ("scroll:4", {"M(1)": {"mu": 3}}, {}),
+    "scroll:4 mu M(3)": ("scroll:4", {"M(3)": {"mu": 5}}, {}),
+    "scroll:4 mu M(0)": ("scroll:4", {"M(0)": {"mu": 2}}, {}),
+    "scroll:4 ratio": ("scroll:4", {}, {"betti_ratio": 4}),
+    "scroll21 beta1 A": ("scroll21", {"A": {"beta1": 4}}, {}),
+    "scroll21 beta1 B": ("scroll21", {"B": {"beta1": 5}}, {}),
+    "scroll21 mu A": ("scroll21", {"A": {"mu": 3}}, {}),
+    "scroll21 mu B": ("scroll21", {"B": {"mu": 4}}, {}),
+    "scroll21 ratio": ("scroll21", {}, {"betti_ratio": 3}),
+    "veronese2 beta1 A": ("veronese2", {"A": {"beta1": 9}}, {}),
+    "veronese2 beta1 B": ("veronese2", {"B": {"beta1": 25}}, {}),
+    "veronese2 mu A": ("veronese2", {"A": {"mu": 2}}, {}),
+    "veronese2 mu B": ("veronese2", {"B": {"mu": 7}}, {}),
+    "veronese2 ratio": ("veronese2", {}, {"betti_ratio": 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_BETTI))
+def test_verify_sequences_fail_on_a_wrong_betti_number(fresh_catalog, case):
+    ring, rows, changes = WRONG_BETTI[case]
+    family = planted(parse_ring(ring), rows, **changes)
+    with pytest.raises(AuditFailure, match=r"the sequence onto .* gives beta_\d = \d+, the catalog"):
+        verify_sequences(family)
+    ok, detail = sequence_row(family)["syzygy sequences"]
+    assert not ok and detail.startswith(f"error: {ring}: the sequence onto ")
+
+
+CHANGED_COEFFICIENT = [("scroll:5", f"M({l})") for l in range(5)] + [
+    (ring, tag) for ring in ("scroll21", "veronese2") for tag in ("R", "A", "B")
+]
+
+
+@pytest.mark.parametrize("ring, tag", CHANGED_COEFFICIENT)
+def test_verify_sequences_fail_on_a_changed_coefficient(fresh_catalog, ring, tag):
+    family = parse_ring(ring)
+    terms, pole, base = next(row[5] for row in family.classes if row[0] == tag)
+    (degree, c), *rest = terms
+    series = (((degree, c + 1), *rest), pole, base)
+    with pytest.raises(AuditFailure, match=r"the sequence onto .* fails at t\^"):
+        verify_sequences(planted(family, {tag: {"series": series}}))
+
+
+def test_a_shifted_scroll21_b_passes_hilbert_and_fails_sequences(fresh_catalog):
+    # B and BorC share one series in the constructor; shifted by a degree, it
+    # keeps its nonzero dimensions, which is all the hilbert row compares
+    shifted = (((4, 3),), 3, 1)
+    family = planted(scroll21(), {"B": {"series": shifted}, "BorC": {"series": shifted}})
+    rows = sequence_row(family)
+    assert rows["hilbert"][0] is True
+    assert rows["syzygy sequences"] == (
+        False,
+        "error: scroll21: the sequence onto A fails at t^3",
+    )
+
+
+def series(*terms, pole=3):
+    return {"series": (terms, pole, 1)}
+
+
+# A defect against each fact the hand-written veronese2 check used to hold:
+# fact -> (what the failure says, planted rows).  R = (1 + 3t)(1 + t), with
+# A and B solving both sequences, keeps them exact: only the dual catches it.
+VERONESE_FACTS = {
+    "A = dual(R)": ("H(A) is not the dual of H(R)", {
+        "R": series((0, 1), (1, 4), (2, 3)),
+        "A": series((2, 3), (3, 4), (4, 1)),
+        "B": series((3, 8), (4, 8)),
+    }),
+    "3 t^2 H(R) - H(A) = H(B)": ("onto A fails at t^3", {"B": series((3, 7))}),
+    "H(B) = 8 t^3 / (1 - t)^3": ("B has no series over", {"B": series((3, 8), pole=2)}),
+    "dim A_2 = 3 and dim B_2 = 0": ("onto A fails at t^2", {"B": series((2, 1), (3, 7))}),
+    "3 H(A) - H(B) >= 0": ("onto A fails at t^4", {"B": series((3, 8), (4, 12))}),
+    "e(3 A - B) = e(R)": ("onto A fails at t^3", {"B": series((3, 9))}),
+    "3 t H(A) - H(B) = t^3 H(R)": ("onto A fails at t^4", {"A": series((2, 3), (3, 1), (4, 1))}),
+}
+
+
+@pytest.mark.parametrize("fact", sorted(VERONESE_FACTS))
+def test_verify_sequences_catch_each_veronese2_fact(fresh_catalog, fact):
+    says, rows = VERONESE_FACTS[fact]
+    family = planted(veronese2(), rows)
+    with pytest.raises(AuditFailure) as failure:
+        verify_sequences(family)
+    assert says in str(failure.value)
+    assert sequence_row(family)["syzygy sequences"] == (False, f"error: {failure.value}")
+
+
+def test_verify_sequences_need_one_denominator(fresh_catalog):
+    family = planted(scroll(3), {"M(1)": {"series": (((1, 2), (4, 1)), 2, 1)}})
+    with pytest.raises(AuditFailure, match=r"scroll:3:M\(1\) has no series over the free"):
+        sequence_terms(family)
+    with pytest.raises(AuditFailure, match=r"scroll:3:M\(1\) has no series over the free"):
+        verify_sequences(family)
