@@ -251,22 +251,23 @@ def verify_scroll_syzygy(delta: int, l: int) -> bool:
 
 
 def _signed_terms(family: RingFamily, cover, module: str, kernel):
-    """(degree, coefficient) of each numerator term of H(cover) - H(module) -
-    H(kernel) over the free class's denominator; any other denominator raises."""
+    """(signed count, degree shift, numerator terms) of each class in
+    H(cover) - H(module) - H(kernel), every series over the free class's
+    denominator; any other denominator raises."""
     denominator = (mcm.free_class(family).series or (None,))[1:]
     negated = tuple((-n, shift, tag) for n, shift, tag in kernel)
     for n, shift, tag in (*cover, (-1, 0, module), *negated):
         series = mcm.class_by_tag(family, tag).series
         if series is None or series[1:] != denominator:
             raise AuditFailure(f"{family.label}:{tag} has no series over the free denominator")
-        for degree, c in series[0]:
-            yield degree + shift, n * c
+        yield n, shift, series[0]
 
 
 def sequence_terms(family: RingFamily) -> int:
     """The numerator terms ``verify_sequences`` adds, the work estimate of
     verify's row: 6 (delta - 1) for ``scroll:delta``."""
-    return sum(1 for seq in family.sequences() for _ in _signed_terms(family, *seq))
+    seqs = family.sequences()
+    return sum(len(terms) for seq in seqs for _, _, terms in _signed_terms(family, *seq))
 
 
 def verify_sequences(family: RingFamily) -> int:
@@ -284,8 +285,9 @@ def verify_sequences(family: RingFamily) -> int:
     sequences = tuple(family.sequences())
     for cover, module, kernel in sequences:
         balance: dict[int, int] = {}
-        for degree, c in _signed_terms(family, cover, module, kernel):
-            balance[degree] = balance.get(degree, 0) + c
+        for n, shift, terms in _signed_terms(family, cover, module, kernel):
+            for degree, c in terms:
+                balance[degree + shift] = balance.get(degree + shift, 0) + n * c
         if any(balance.values()):
             degree = min(degree for degree, c in balance.items() if c)
             raise AuditFailure(f"{family.label}: the sequence onto {module} fails at t^{degree}")

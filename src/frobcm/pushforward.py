@@ -246,8 +246,10 @@ def _decompose_cached(
     _refuse(family, ctx, route)
     if route == ROUTE_PAPER:
         counts = index_set_counts(family, ctx.q)
-    else:
-        counts = _residue_class_multiplicities(family, ctx)
+    else:  # each key's closed residue count goes to its tag, at a cost independent of q
+        counts = {}
+        for count, _, tag in class_key_tags(family, ctx).values():
+            counts[tag] = counts.get(tag, 0) + count
     ordered = tuple(
         (cls.tag, counts[cls.tag])
         for cls in mcm.catalog(family)
@@ -277,20 +279,6 @@ def class_key_tags(
         mu = class_minimal_generators(family, ctx, first).mu
         tags[key] = (count, first, mcm.class_tag_for_mu(family, mu))
     return tags
-
-
-def _residue_class_multiplicities(
-    family: RingFamily, ctx: FrobeniusContext
-) -> dict[str, int]:
-    """Tally the q^d residue classes by tag without enumerating them.
-
-    Each class key contributes its closed-form residue count to its tag, so
-    the cost is independent of q.
-    """
-    counts: dict[str, int] = {}
-    for count, _, tag in class_key_tags(family, ctx).values():
-        counts[tag] = counts.get(tag, 0) + count
-    return counts
 
 
 def verify_summand_iso_scroll(

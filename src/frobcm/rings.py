@@ -2,17 +2,17 @@
 
 A family is described in one place, its constructor: ``scroll(delta)``,
 ``scroll21()`` and ``veronese2()`` each build one ``RingFamily`` with the
-membership predicate, the algebra generators (exponent vectors, plain integer
-tuples) and all the other modules read about it: the limits, Betti
-recurrences, the residue class key with its closed per-key counts, the
-paper's index sets (the class keys whose residues each set counts, a literal
-twin counting each set point by point, and whether the sizes sum to q^dim),
-the colength cell rule the oracle counts m^[q]'s complement by (the uncovered
-interval of the last coordinate over one q-aligned cell of the others, with
-its derivation), the catalog of MCM classes, one row per class with its
-mu, rank, first Betti number, limiting density and Hilbert series as plain
-numbers (scroll21's derived here, not in the paper), and the exact sequences
-among the classes that tie those numbers together.
+membership predicate, the algebra generators (integer exponent vectors, which
+give the dimension and torsion index unless those are given) and all the other
+modules read about it: the limits, Betti recurrences, the residue class key
+with its closed per-key counts, the paper's index sets (the class keys whose
+residues each set counts, a literal twin counting each set point by point, and
+whether the sizes sum to q^dim), the colength cell rule the oracle counts
+m^[q]'s complement by (the uncovered interval of the last coordinate over one
+q-aligned cell of the others, with its derivation), the catalog of MCM classes,
+one row per class with its mu, rank, first Betti number, limiting density and
+Hilbert series as plain numbers (scroll21's derived here, not in the paper),
+and the exact sequences among the classes that tie those numbers together.
 
 * ``scroll(delta)``: subalgebra of k[x, y] spanned by monomials whose total
   degree is a multiple of delta; generators x^delta, x^(delta-1) y, ..., y^delta.
@@ -128,8 +128,9 @@ class RingFamily(_Record):
     __slots__ = (
         "kind",
         "delta",
-        "ambient_vars",  # also the Krull dimension: each semigroup spans its lattice
-        "torsion_index",  # the residue classes need p prime to it
+        # both derived from the generators unless given
+        "ambient_vars",  # a generator's length; also the Krull dimension, as they span Q^n
+        "torsion_index",  # the gcd of the generators' degrees; residue classes need p prime to it
         "generators",  # exponent vectors of the algebra generators
         "member",  # member(vec) on vectors >= 0
         # colength_cell(q, cell, s) is the half-open interval [lo, hi), 0 <= lo,
@@ -179,6 +180,9 @@ class RingFamily(_Record):
     _compared = ("kind", "delta")
 
     def __init__(self, kind: str, delta: int | None = None, **description) -> None:
+        if generators := description.get("generators"):
+            description.setdefault("ambient_vars", len(generators[0]))
+            description.setdefault("torsion_index", gcd(*map(sum, generators)))
         for name in self.__slots__[2:]:
             description.setdefault(name, None)
         super().__init__(kind, delta, **description)
@@ -253,8 +257,6 @@ def _scroll(d: int) -> RingFamily:
     return RingFamily(
         "scroll",
         d,
-        ambient_vars=2,
-        torsion_index=d,
         generators=tuple((d - k, k) for k in range(d + 1)),
         member=lambda v: (v[0] + v[1]) % d == 0,
         # m^[q] needs floor(i/q) + floor(j/q) to fit some split (d - k, k), i.e.
@@ -360,8 +362,6 @@ def scroll21() -> RingFamily:
     b_series = (((3, 3),), 3, 1)
     return RingFamily(
         "scroll21",
-        ambient_vars=3,
-        torsion_index=2,
         generators=((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)),
         member=lambda v: (v[0] + v[1] + v[2]) % 2 == 0 and v[0] + v[1] >= v[2],
         colength_cell=colength_cell,
@@ -430,8 +430,6 @@ def veronese2() -> RingFamily:
 
     return RingFamily(
         "veronese2",
-        ambient_vars=3,
-        torsion_index=2,
         generators=((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)),
         member=lambda v: (v[0] + v[1] + v[2]) % 2 == 0,
         colength_cell=colength_cell,

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from frobcm.errors import AuditFailure
 from frobcm.invariants import (
     convergence_check,
     fbetti_pushforward,
@@ -9,7 +10,15 @@ from frobcm.invariants import (
     limits,
 )
 from frobcm.oracle import lambda_frobenius_quotient, min_gens_pushforward
-from frobcm.rings import FrobeniusContext, context_from_q, scroll, scroll21, veronese2
+from frobcm.rings import (
+    FrobeniusContext,
+    context_from_q,
+    parse_ring,
+    scroll,
+    scroll21,
+    veronese2,
+)
+from test_pushforward import redescribed
 
 Q3 = FrobeniusContext(3, 1)
 
@@ -140,3 +149,35 @@ def test_invalid_context_rejected():
         convergence_check(veronese2(), [4])
     with pytest.raises(ValueError):
         finite_q_estimates(scroll21(), FrobeniusContext(2, 3))
+
+
+@pytest.mark.parametrize("ring", ("scroll:4", "scroll21", "veronese2"))
+def test_limits_catch_a_wrong_s(ring):
+    family = parse_ring(ring)
+    wrong = redescribed(family, s=family.s + Fraction(1, 7))
+    with pytest.raises(AuditFailure, match=f"^free density is not s for {family.label}$"):
+        limits(wrong)
+
+
+@pytest.mark.parametrize("ring", ("scroll:4", "scroll21", "veronese2"))
+def test_limits_catch_a_wrong_ehk(ring):
+    family = parse_ring(ring)
+    wrong = redescribed(family, ehk=family.ehk + 1)
+    with pytest.raises(
+        AuditFailure,
+        match=rf"^Hilbert-Kunz mismatch for {family.label}: {family.ehk} vs {family.ehk + 1}$",
+    ):
+        limits(wrong)
+
+
+@pytest.mark.parametrize("ring", ("scroll:4", "scroll21", "veronese2"))
+def test_fbetti_catches_a_closed_form_wrong_only_at_two(ring):
+    family = parse_ring(ring)
+    right = family.fbetti
+    lim = limits(redescribed(family, fbetti=lambda i: right(i) + (i == 2)))
+    assert lim.fbetti(1) == right(1)
+    with pytest.raises(
+        AuditFailure,
+        match=rf"^Betti limit mismatch for {family.label} at i=2: closed form {right(2) + 1}, ",
+    ):
+        lim.fbetti(2)

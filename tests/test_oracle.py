@@ -479,9 +479,9 @@ def test_sequence_terms_are_the_terms_the_check_adds(monkeypatch):
     real = oracle._signed_terms
 
     def counting(*args):
-        for term in real(*args):
-            added.append(term)
-            yield term
+        for n, shift, terms in real(*args):
+            added.extend(terms)
+            yield n, shift, terms
 
     monkeypatch.setattr(oracle, "_signed_terms", counting)
     for family in [scroll(d) for d in range(2, 12)] + [scroll21(), veronese2()]:

@@ -15,7 +15,6 @@ from frobcm.pushforward import (
     ROUTE_CLASSES,
     ROUTE_PAPER,
     _iso_dimensions_match,
-    _residue_class_multiplicities,
     class_key_tags,
     class_minimal_generators,
     decompose,
@@ -397,7 +396,7 @@ def test_class_key_counts_match_enumerating_tally():
             continue
         key_counts, counts = enumerating_tally(family, ctx)
         assert nonzero_key_counts(family, ctx.q) == key_counts, (family, ctx)
-        assert _residue_class_multiplicities(family, ctx) == counts, (family, ctx)
+        assert decompose(family, ctx, ROUTE_CLASSES).as_dict() == counts, (family, ctx)
     # p = 3 divides delta = 3: no residue route, but the key counts still hold
     key_counts = {}
     for residue in product(range(81), repeat=2):
@@ -457,7 +456,8 @@ def test_residue_route_searches_once_per_key(monkeypatch):
     for family in (scroll(2), scroll(10), scroll21(), veronese2()):
         for ctx in (Q3, FrobeniusContext(3, 12)):
             calls.clear()
-            counts = _residue_class_multiplicities(family, ctx)
+            uncached = pushforward._decompose_cached.__wrapped__(family, ctx, ROUTE_CLASSES)
+            counts = uncached.as_dict()
             assert len(calls) == len(nonzero_key_counts(family, ctx.q))
             assert sum(counts.values()) == ctx.q ** family.ambient_vars
 

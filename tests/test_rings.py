@@ -1,8 +1,8 @@
 import json
 import pickle
 import random
-from itertools import product
-from math import isqrt
+from itertools import combinations, permutations, product
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -19,6 +19,7 @@ from frobcm.rings import (
     scroll21,
     veronese2,
 )
+from test_pushforward import redescribed
 
 FAMILIES = [scroll(2), scroll(3), scroll(5), scroll21(), veronese2()]
 
@@ -114,6 +115,34 @@ def test_family_constants():
     assert scroll21().ambient_vars == 3
     assert scroll21().torsion_index == 2
     assert veronese2().ambient_vars == 3
+
+
+def lattice_index(rows):
+    """The index in Z^n of the lattice the rows span: the gcd of the n x n
+    minors, each a Leibniz determinant."""
+    n = len(rows[0])
+
+    def det(m):
+        return sum(
+            (-1) ** sum(a > b for a, b in combinations(perm, 2))
+            * prod(m[i][j] for i, j in enumerate(perm))
+            for perm in permutations(range(n))
+        )
+
+    return gcd(*(det(m) for m in combinations(rows, n)))
+
+
+def test_dimension_and_torsion_index_are_derived_from_the_generators():
+    hand = {scroll(d): (2, d) for d in range(2, 61)}
+    hand[scroll21()] = (3, 2)
+    hand[veronese2()] = (3, 2)
+    for family, (n, torsion) in hand.items():
+        assert (family.ambient_vars, family.torsion_index) == (n, torsion), family
+        assert lattice_index(family.generators) == torsion, family
+    # a value given to the constructor wins over the derived one
+    assert RingFamily("scroll", 3, torsion_index=3).torsion_index == 3
+    planted = redescribed(scroll(10), torsion_index=1)
+    assert (planted.ambient_vars, planted.torsion_index) == (2, 1)
 
 
 def test_context_validation(capsys):
