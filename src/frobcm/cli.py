@@ -122,6 +122,11 @@ def build_table1_record(families: list[RingFamily], max_i: int) -> dict:
 
 def cmd_table1(args) -> int:
     families = [parse_ring(text) for text in args.families.split(",")]
+    # each value's density cross-check sums over the family's catalog rows
+    try:
+        _budget(sum(len(family.classes) for family in families) * (args.max_i + 1))
+    except Refusal as exc:
+        raise Refusal(f"table1 {exc}; lower --max-i or delta") from None
     if args.format == "json":
         print(_dump(build_table1_record(families, args.max_i)))
         return 0

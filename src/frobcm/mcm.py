@@ -44,25 +44,24 @@ class SummandClass(_Record):
 
 def catalog(family: RingFamily) -> tuple[SummandClass, ...]:
     """All indecomposable MCM classes of the family, in reporting order."""
-    return _catalog(family)
+    return _table(family)[0]
 
 
 @lru_cache(maxsize=None)
-def _catalog(family: RingFamily) -> tuple[SummandClass, ...]:
-    return tuple(SummandClass(family, *row) for row in family.classes)
+def _table(family: RingFamily):
+    # one table per family, so totals over a scroll's delta classes stay O(delta)
+    classes = tuple(SummandClass(family, *row) for row in family.classes)
+    by_tag = {cls.tag: cls for cls in classes}
+    # rank-one tags by mu; a later row wins, so scroll21's B and C read BorC
+    tag_by_mu = {cls.mu: cls.tag for cls in classes if cls.rank == 1}
+    return classes, by_tag, tag_by_mu
 
 
 def class_by_tag(family: RingFamily, tag: str) -> SummandClass:
-    # one dict per family, so totals over a scroll's delta classes stay O(delta)
     try:
-        return _classes_by_tag(family)[tag]
+        return _table(family)[1][tag]
     except KeyError:
         raise UnsupportedClassError(f"{family.label} has no class tagged {tag!r}") from None
-
-
-@lru_cache(maxsize=None)
-def _classes_by_tag(family: RingFamily) -> dict[str, SummandClass]:
-    return {cls.tag: cls for cls in catalog(family)}
 
 
 def free_class(family: RingFamily) -> SummandClass:
@@ -77,7 +76,7 @@ def class_tag_for_mu(family: RingFamily, mu: int) -> str:
     and C share mu = 3 and are reported under the merged tag BorC, the last
     rank-one row with that mu.
     """
-    tags = {cls.mu: cls.tag for cls in catalog(family) if cls.rank == 1}
+    tags = _table(family)[2]
     if mu in tags:
         return tags[mu]
     raise ValueError(f"no rank-one class of {family.label} has mu = {mu}")

@@ -43,11 +43,11 @@ PRIMALITY_BOUND = 318_665_857_834_031_151_167_461
 
 
 def _is_prime(n: int) -> bool:
-    if n >= PRIMALITY_BOUND:
-        raise ValueError(f"p must be below {PRIMALITY_BOUND}, got {n}")
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if n <= bases[-1] or any(n % b == 0 for b in bases):
         return n in bases
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"p must be below {PRIMALITY_BOUND}, got {n}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -92,30 +92,21 @@ class FrobeniusContext(_Record):
 def context_from_q(q: int) -> FrobeniusContext:
     """Factor a prime power q into its FrobeniusContext.
 
-    The primes up to 37 are tried by division.  Past them p is the exact
-    e-th root of q for the largest e that has one, so no search grows with p.
+    p is the exact e-th root of q for the largest e that has one, found by
+    Newton steps for each e from log_2(q) down, so no search grows with p.
     """
     if not isinstance(q, int) or isinstance(q, bool):
         raise ValueError(f"q must be an integer, got {q!r}")
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    for p in range(2, 38):
-        if q % p == 0:
+    # p >= 2, so e < q.bit_length(); e = 1 always has a root
+    for e in range(q.bit_length() - 1, 0, -1):
+        p = 1 << -(-q.bit_length() // e)  # above the root; Newton steps down
+        while (step := ((e - 1) * p + q // p ** (e - 1)) // e) < p:
+            p = step
+        if p ** e == q:
             break
-    else:
-        # p >= 41 > 2^5, so e <= log_2(q) / 5; e = 1 always has a root
-        for e in range(q.bit_length() // 5, 0, -1):
-            p = 1 << -(-q.bit_length() // e)  # above the root; Newton steps down
-            while (step := ((e - 1) * p + q // p ** (e - 1)) // e) < p:
-                p = step
-            if p ** e == q:
-                break
-        if not _is_prime(p):
-            raise ValueError(f"{q} is not a prime power")
-    e, rest = 0, q
-    while rest % p == 0:
-        e, rest = e + 1, rest // p
-    if rest != 1:
+    if not _is_prime(p):
         raise ValueError(f"{q} is not a prime power")
     return FrobeniusContext(p, e)
 

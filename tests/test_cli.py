@@ -681,6 +681,22 @@ def test_verify_fail_rows_state_the_broken_bound(capsys):
     )
 
 
+def test_verify_scroll10_at_17_fails_every_betti_envelope(capsys):
+    # the 4/q envelopes are guesses: at delta = 10, q = 17 the s and e_HK
+    # rows pass and each fbetti_i gap, 75 * 9^(i - 1) / 289, is over its
+    # bound (ROADMAP item 3 changes this pin on purpose)
+    argv = ["verify", "--ring", "scroll:10", "--q", "17", "--suite", "convergence"]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["ok"] for c in checks] == [True, True, False, False, False, False]
+    assert [c["name"].split(": ")[0] for c in checks] == [
+        "q=17 s", "q=17 ehk", "q=17 fbetti_1", "q=17 fbetti_2", "q=17 fbetti_3", "q=17 fbetti_4"
+    ]
+    gaps = [c["name"].split(", gap ")[1].split(" > ")[0] for c in checks[2:]]
+    assert gaps == ["75/289", "675/289", "6075/289", "54675/289"]
+
+
 def test_verify_bad_ring(capsys):
     code, _, err = run(capsys, ["verify", "--ring", "grassmannian", "--q", "3"])
     assert code == 2
@@ -834,6 +850,29 @@ def test_table1_answers_at_delta_100000():
     assert proc.returncode == 0, proc.stderr
     row = proc.stdout.splitlines()[1].split()
     assert row[:5] == [HUGE_SCROLL, "1/100000", "100001/2", "100000*99999^i/2", "4999950000"]
+
+
+def test_table1_over_the_budget_names_what_to_lower():
+    # delta = 100000 catalog rows times 401 values: refused before any
+    # density cross-check runs, which would take minutes
+    proc = frobcm_cli("table1", "--families", HUGE_SCROLL, "--max-i", "400", timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: table1 work estimate 40100000 over budget {WORK_BUDGET}; "
+        "lower --max-i or delta\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_table1_budget_counts_catalog_rows_times_values(capsys, monkeypatch, fmt):
+    # the default families have 63 catalog rows; --max-i 4 gives 5 values each
+    monkeypatch.setattr(cli, "WORK_BUDGET", 314)
+    assert run(capsys, ["table1", "--format", fmt]) == (
+        2, "", "error: table1 work estimate 315 over budget 314; lower --max-i or delta\n"
+    )
+    monkeypatch.setattr(cli, "WORK_BUDGET", 315)
+    code, out, err = run(capsys, ["table1", "--format", fmt])
+    assert (code, err) == (0, "") and out
 
 
 def test_verify_at_delta_100000_skips_every_search():

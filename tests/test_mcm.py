@@ -2,6 +2,7 @@ import pytest
 
 from frobcm import arith, mcm, rings
 from frobcm.arith import HilbertSeries, Polynomial
+from frobcm.cli import _default_families
 from frobcm.invariants import limits
 from frobcm.mcm import (
     UnsupportedClassError,
@@ -14,7 +15,7 @@ from frobcm.mcm import (
     scroll_syzygy_generators,
 )
 from frobcm.pushforward import ROUTE_CLASSES, decompose
-from frobcm.rings import context_from_q, scroll, scroll21, veronese2
+from frobcm.rings import context_from_q, parse_ring, scroll, scroll21, veronese2
 
 
 def test_catalog_mu_and_rank():
@@ -76,7 +77,7 @@ def test_catalog_rows_are_hashable_numbers_built_without_series(monkeypatch):
                    rings.veronese2.__wrapped__()):
         for row in family.classes:
             hash(row)
-        classes = mcm._catalog.__wrapped__(family)
+        classes = mcm._table.__wrapped__(family)[0]
         assert len(set(classes)) == len(classes)
     assert scroll(7).classes[2][5] == (((2, 3), (9, 4)), 2, 7)
     with pytest.raises(AssertionError, match="HilbertSeries was built"):
@@ -150,6 +151,37 @@ def test_classification_by_mu():
         class_tag_for_mu(veronese2(), 2)
     with pytest.raises(ValueError):
         class_tag_for_mu(scroll(3), 4)
+
+
+def test_class_table_is_built_once_per_family():
+    mcm._table.cache_clear()
+    family = scroll(6)
+    assert [cls.tag for cls in catalog(family)][:2] == ["M(0)", "M(1)"]
+    assert class_by_tag(family, "M(3)").mu == 4
+    assert free_class(family).tag == "M(0)"
+    assert class_tag_for_mu(family, 5) == "M(4)"
+    info = mcm._table.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.mark.parametrize("label", _default_families())
+def test_every_tag_a_mu_names_has_a_hilbert_series(label):
+    # the hilbert row reads the series of the tag each class key's mu names;
+    # scroll21's C has none, so its BorC row must follow B and C
+    family = parse_ring(label)
+    for mu in {cls.mu for cls in catalog(family) if cls.rank == 1}:
+        cls = class_by_tag(family, class_tag_for_mu(family, mu))
+        assert cls.mu == mu and cls.rank == 1
+        module_hilbert_series(cls)  # raises where the row records no series
+    if label == "scroll21":
+        assert class_tag_for_mu(family, 3) == "BorC"
+
+
+def test_unknown_tag_or_mu_keeps_its_error_text():
+    with pytest.raises(UnsupportedClassError, match=r"^scroll:3 has no class tagged 'M\(3\)'$"):
+        class_by_tag(scroll(3), "M(3)")
+    with pytest.raises(ValueError, match="^no rank-one class of veronese2 has mu = 2$"):
+        class_tag_for_mu(veronese2(), 2)
 
 
 def test_veronese_series():

@@ -432,15 +432,10 @@ def test_scroll_syzygy_range_errors():
 @pytest.fixture
 def fresh_catalog():
     """A redescribed family compares equal to the real one, so mcm's
-    per-family caches are cleared around each test that plants rows."""
-
-    def clear():
-        mcm._catalog.cache_clear()
-        mcm._classes_by_tag.cache_clear()
-
-    clear()
+    per-family class table is cleared around each test that plants rows."""
+    mcm._table.cache_clear()
     yield
-    clear()
+    mcm._table.cache_clear()
 
 
 ROW_FIELDS = ("tag", "mu", "rank", "beta1", "density", "series")

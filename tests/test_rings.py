@@ -255,6 +255,21 @@ def test_context_from_q(capsys):
         context_from_q(PRIMALITY_BOUND)
 
 
+def test_a_prime_up_to_37_decides_before_the_primality_bound():
+    # from the bound up only a p with no prime factor up to 37 is refused
+    q = 2 * PRIMALITY_BOUND
+    with pytest.raises(ValueError, match=f"^p must be prime, got {q}$"):
+        FrobeniusContext(q, 1)
+    with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+        context_from_q(q)
+
+
+@pytest.mark.parametrize(("p", "e"), [(3, 1000), (2, 4000), (41, 40)])
+def test_context_from_q_factors_large_exponents_exactly(p, e):
+    # e runs from log_2(q) down, so the first exact root is p itself
+    assert context_from_q(p**e) == FrobeniusContext(p, e)
+
+
 def test_family_identity_is_kind_and_delta():
     # the description the constructors build takes no part in equality,
     # hashing or repr, so separately built copies share decomposition cache
